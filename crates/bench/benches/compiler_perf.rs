@@ -4,12 +4,21 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qompress::{
-    compile, compile_with_options, map_circuit, route_cached, run_batch, BatchJob, BatchRequest,
-    Compiler, CompilerConfig, ExhaustiveOptions, MappingOptions, Strategy,
+    map_circuit, route_cached, BatchJob, Compiler, CompilerConfig, ExhaustiveOptions,
+    MappingOptions, Strategy,
 };
 use qompress_arch::Topology;
 use qompress_circuit::CircuitDag;
 use qompress_workloads::{build, random_circuit, Benchmark};
+
+/// A fresh session with caching off. Benchmarks that build one per
+/// iteration time a cold compile, per-topology precomputation included.
+fn one_shot(config: &CompilerConfig) -> Compiler {
+    Compiler::builder()
+        .config(config.clone())
+        .caching(false)
+        .build()
+}
 
 fn bench_full_pipeline(c: &mut Criterion) {
     let config = CompilerConfig::paper();
@@ -19,7 +28,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
         let topo = Topology::grid(size);
         for strategy in [Strategy::QubitOnly, Strategy::Eqm, Strategy::RingBased] {
             group.bench_with_input(BenchmarkId::new(strategy.name(), size), &size, |b, _| {
-                b.iter(|| compile(&circuit, &topo, strategy, &config));
+                b.iter(|| one_shot(&config).compile(&circuit, &topo, strategy));
             });
         }
     }
@@ -46,15 +55,15 @@ fn bench_strategy_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("strategy_search");
     group.sample_size(10);
     group.bench_function("pp", |b| {
-        b.iter(|| compile(&circuit, &topo, Strategy::ProgressivePairing, &config));
+        b.iter(|| one_shot(&config).compile(&circuit, &topo, Strategy::ProgressivePairing));
     });
     group.bench_function("ec_one_round", |b| {
         b.iter(|| {
-            qompress::compile_exhaustive(
+            let fresh = Compiler::builder().config(config.clone()).build();
+            fresh.compile_exhaustive(
                 &circuit,
                 &topo,
-                &config,
-                &qompress::ExhaustiveOptions {
+                &ExhaustiveOptions {
                     ordered: true,
                     max_rounds: 1,
                     ..Default::default()
@@ -63,7 +72,9 @@ fn bench_strategy_search(c: &mut Criterion) {
         });
     });
     group.bench_function("qubit_only_pipeline", |b| {
-        b.iter(|| compile_with_options(&circuit, &topo, &config, &MappingOptions::qubit_only()));
+        b.iter(|| {
+            one_shot(&config).compile_with_options(&circuit, &topo, &MappingOptions::qubit_only())
+        });
     });
     group.finish();
 }
@@ -98,7 +109,12 @@ fn bench_batch_throughput(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| run_batch(&BatchRequest::new(jobs.clone(), workers)));
+                b.iter(|| {
+                    Compiler::builder()
+                        .workers(workers)
+                        .build()
+                        .compile_batch(&jobs)
+                });
             },
         );
     }

@@ -10,18 +10,20 @@
 //! exclusive physical units, and evaluates the Expected Probability of
 //! Success split into gate-fidelity and coherence components.
 //!
-//! The blessed entry path is a [`Compiler`] session: it owns the
+//! The one entry path is a [`Compiler`] session: it owns the
 //! configuration, deduplicates per-topology precomputation across calls,
 //! memoizes repeated compilations in a content-addressed result cache
 //! (see [`CacheStats`]), and runs a persistent worker pool behind an MPMC
 //! job queue — submit jobs with [`Compiler::submit`] and poll/wait/cancel
 //! them through [`JobHandle`]s, or hand a whole list to
 //! [`Compiler::compile_batch`] (a thin submit-all-then-wait wrapper over
-//! the same pool). The free functions ([`compile`],
-//! [`compile_with_options`], [`run_batch`], …) remain as thin
-//! compatibility wrappers over one-shot sessions. The `qompress-service`
-//! crate exposes the job service over a line-delimited JSON wire
-//! protocol.
+//! the same pool). A one-off compile is a session with caching off
+//! (`Compiler::builder().caching(false).build()`). The stage functions
+//! ([`map_circuit`], [`route_cached`], [`merge_singles`],
+//! [`schedule_ops`], [`trace_coherence`], [`Metrics::compute`]) stay
+//! public so a caller can replay the pipeline stage by stage. The
+//! `qompress-service` crate exposes the job service over a
+//! line-delimited JSON wire protocol.
 //!
 //! ```
 //! use qompress::{Compiler, Strategy};
@@ -72,8 +74,7 @@ mod strategies;
 mod timeline;
 
 pub use batch::{
-    run_batch, BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchRequest, BatchResult,
-    TryBatchResult,
+    BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
 };
 pub use breaker::BreakerState;
 pub use config::CompilerConfig;
@@ -86,18 +87,13 @@ pub use mapping::{map_circuit, MappingOptions};
 pub use metrics::{coherence_eps, gate_eps_from_counts, Metrics};
 pub use parametric::{ParamSweep, SkeletonArtifact, SweepResult};
 pub use physical::{swap4_moves, PhysicalOp, Schedule, ScheduledOp};
-pub use pipeline::{
-    compile_with_options, compile_with_options_cached, CompilationResult, TopologyCache,
-};
+pub use pipeline::{CompilationResult, TopologyCache};
 pub use result_cache::{CacheStats, TieredCacheStats};
-pub use routing::{route, route_cached};
+pub use routing::route_cached;
 pub use scheduling::{merge_singles, schedule_ops, trace_coherence, CoherenceTrace};
 pub use service::ServiceMetrics;
 pub use session::{Compiler, CompilerBuilder};
-pub use strategies::{
-    compile, compile_cached, compile_exhaustive, compile_exhaustive_cached, EcObjective,
-    ExhaustiveOptions, ExhaustiveStep, Strategy, ALL_STRATEGIES,
-};
+pub use strategies::{EcObjective, ExhaustiveOptions, ExhaustiveStep, Strategy, ALL_STRATEGIES};
 pub use timeline::{parallelism_stats, render_timeline, ParallelismStats};
 
 // The disk tier's fault-injection hook, re-exported so chaos tests can

@@ -530,9 +530,8 @@ pub fn decode_result(bytes: &[u8]) -> Option<CompilationResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompilerConfig;
     use crate::mapping::MappingOptions;
-    use crate::pipeline::compile_with_options;
+    use crate::session::Compiler;
     use qompress_arch::Topology;
     use qompress_circuit::{Circuit, Gate};
 
@@ -543,12 +542,8 @@ mod tests {
         for i in 0..3 {
             c.push(Gate::cx(i, i + 1));
         }
-        compile_with_options(
-            &c,
-            &Topology::grid(4),
-            &CompilerConfig::paper(),
-            &MappingOptions::eqm(),
-        )
+        let session = Compiler::builder().caching(false).build();
+        (*session.compile_with_options(&c, &Topology::grid(4), &MappingOptions::eqm())).clone()
     }
 
     #[test]
@@ -610,13 +605,13 @@ mod tests {
 
     #[test]
     fn empty_result_round_trips() {
-        let empty = compile_with_options(
+        let session = Compiler::builder().caching(false).build();
+        let empty = session.compile_with_options(
             &Circuit::new(2),
             &Topology::line(2),
-            &CompilerConfig::paper(),
             &MappingOptions::qubit_only(),
         );
         let decoded = decode_result(&encode_result(&empty)).expect("round trip");
-        assert_eq!(format!("{empty:?}"), format!("{decoded:?}"));
+        assert_eq!(format!("{:?}", *empty), format!("{decoded:?}"));
     }
 }

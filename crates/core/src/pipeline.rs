@@ -52,24 +52,6 @@ pub struct TopologyCache {
     center: std::sync::OnceLock<usize>,
 }
 
-impl Clone for TopologyCache {
-    /// Clones the shared structures; already-memoized oracles ride along.
-    fn clone(&self) -> Self {
-        TopologyCache {
-            expanded: Arc::clone(&self.expanded),
-            config: self.config.clone(),
-            bare_oracle: self.bare_oracle.clone(),
-            encoded_oracles: std::sync::Mutex::new(
-                self.encoded_oracles
-                    .lock()
-                    .expect("oracle map poisoned")
-                    .clone(),
-            ),
-            center: self.center.clone(),
-        }
-    }
-}
-
 impl TopologyCache {
     /// Builds the shared structures for one topology under `config`.
     pub fn new(topo: Topology, config: &CompilerConfig) -> Self {
@@ -158,7 +140,8 @@ impl TopologyCache {
 /// A fully compiled circuit with its evaluation statistics.
 #[derive(Debug, Clone)]
 pub struct CompilationResult {
-    /// Strategy label (filled by [`crate::strategies::compile`]).
+    /// Strategy label, the [`crate::Strategy::name`] of the strategy that
+    /// produced the result (empty for an options-level compile).
     pub strategy: String,
     /// The scheduled physical circuit.
     pub schedule: Schedule,
@@ -211,31 +194,14 @@ impl fmt::Display for CompilationResult {
     }
 }
 
-/// Compiles `circuit` onto `topo` with explicit mapping options.
+/// Compiles `circuit` onto `cache`'s topology with explicit mapping
+/// options, reusing the cache's expanded graph, center and distance
+/// oracles.
 ///
 /// This is the single pipeline all strategies share; only the pair
-/// selection differs between them. Compatibility wrapper over a one-shot
-/// [`crate::Compiler`] session (caching off); callers that compile more
-/// than once should hold a session and use
-/// [`crate::Compiler::compile_with_options`].
-pub fn compile_with_options(
-    circuit: &Circuit,
-    topo: &Topology,
-    config: &CompilerConfig,
-    options: &MappingOptions,
-) -> CompilationResult {
-    let session = crate::session::Compiler::builder()
-        .config(config.clone())
-        .caching(false)
-        .build();
-    let result = session.compile_with_options(circuit, topo, options);
-    Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone())
-}
-
-/// [`compile_with_options`] against a pre-built [`TopologyCache`], reusing
-/// the expanded graph and (for unencoded layouts) the bare distance oracle
-/// instead of rebuilding them per job.
-pub fn compile_with_options_cached(
+/// selection differs between them. Callers reach it through a
+/// [`crate::Compiler`] session, which memoizes the result.
+pub(crate) fn compile(
     circuit: &Circuit,
     cache: &TopologyCache,
     config: &CompilerConfig,
@@ -286,6 +252,20 @@ mod tests {
     use super::*;
     use qompress_circuit::Gate;
 
+    fn compile_with(
+        c: &Circuit,
+        topo: &Topology,
+        config: &CompilerConfig,
+        options: &MappingOptions,
+    ) -> CompilationResult {
+        compile(
+            c,
+            &TopologyCache::new(topo.clone(), config),
+            config,
+            options,
+        )
+    }
+
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         c.push(Gate::h(0));
@@ -300,7 +280,7 @@ mod tests {
         let c = ghz(6);
         let topo = Topology::grid(6);
         let config = CompilerConfig::paper();
-        let r = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let r = compile_with(&c, &topo, &config, &MappingOptions::qubit_only());
         assert!(r.schedule.validate(&topo).is_empty());
         assert!(r.metrics.gate_eps > 0.0 && r.metrics.gate_eps < 1.0);
         assert!(r.metrics.coherence_eps > 0.0 && r.metrics.coherence_eps < 1.0);
@@ -315,7 +295,7 @@ mod tests {
         let topo = Topology::grid(6);
         let config = CompilerConfig::paper();
         let opts = MappingOptions::with_pairs(vec![(0, 1), (2, 3)]);
-        let r = compile_with_options(&c, &topo, &config, &opts);
+        let r = compile_with(&c, &topo, &config, &opts);
         assert!(r.schedule.validate(&topo).is_empty());
         assert_eq!(r.pairs.len(), 2);
         assert!(r.metrics.ququart_state_ns > 0.0);
@@ -334,8 +314,8 @@ mod tests {
         c.push(Gate::cx(2, 3));
         let topo = Topology::grid(4);
         let config = CompilerConfig::paper();
-        let baseline = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
-        let paired = compile_with_options(
+        let baseline = compile_with(&c, &topo, &config, &MappingOptions::qubit_only());
+        let paired = compile_with(
             &c,
             &topo,
             &config,
@@ -350,7 +330,7 @@ mod tests {
         let c = ghz(5);
         let topo = Topology::grid(5);
         let config = CompilerConfig::paper();
-        let r = compile_with_options(&c, &topo, &config, &MappingOptions::eqm());
+        let r = compile_with(&c, &topo, &config, &MappingOptions::eqm());
         let d = r.metrics.duration_ns;
         for q in 0..5 {
             let total = r.trace.qubit_ns[q] + r.trace.ququart_ns[q];
@@ -363,7 +343,7 @@ mod tests {
         let c = ghz(4);
         let topo = Topology::grid(4);
         let config = CompilerConfig::paper();
-        let mut r = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let mut r = compile_with(&c, &topo, &config, &MappingOptions::qubit_only());
         r.strategy = "test".into();
         let s = format!("{r}");
         assert!(s.contains("gate EPS"));

@@ -457,8 +457,8 @@ impl<T: Clone> ResultCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompilerConfig;
-    use crate::pipeline::{compile_with_options, CompilationResult};
+    use crate::pipeline::CompilationResult;
+    use crate::session::Compiler;
     use qompress_arch::Topology;
     use std::sync::Arc;
 
@@ -474,12 +474,10 @@ mod tests {
     fn dummy_result() -> Arc<CompilationResult> {
         let mut c = Circuit::new(2);
         c.push(Gate::cx(0, 1));
-        Arc::new(compile_with_options(
-            &c,
-            &Topology::line(2),
-            &CompilerConfig::paper(),
-            &MappingOptions::qubit_only(),
-        ))
+        Compiler::builder()
+            .caching(false)
+            .build()
+            .compile_with_options(&c, &Topology::line(2), &MappingOptions::qubit_only())
     }
 
     #[test]

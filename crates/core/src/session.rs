@@ -55,12 +55,10 @@ use crate::jobs::{CompletionQueue, JobHandle, JobOutcome};
 use crate::mapping::MappingOptions;
 use crate::parametric::{SkeletonArtifact, SweepResult};
 use crate::persist;
-use crate::pipeline::{compile_with_options_cached, CompilationResult, TopologyCache};
+use crate::pipeline::{self, CompilationResult, TopologyCache};
 use crate::result_cache::{CacheKey, CacheStats, ResultCache, TieredCacheStats};
 use crate::service::{JobService, ServiceMetrics};
-use crate::strategies::{
-    compile_cached, run_exhaustive, ExhaustiveOptions, ExhaustiveStep, Strategy,
-};
+use crate::strategies::{self, run_exhaustive, ExhaustiveOptions, ExhaustiveStep, Strategy};
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, ParametricCircuit};
 use qompress_store::{DiskStore, FaultPlan, LoadOutcome};
@@ -377,7 +375,7 @@ impl SessionState {
         let tcache = self.topology_cache_by_fp(topo_fp, topo);
         let key = CacheKey::for_strategy(circuit, strategy, topo_fp, self.config_fp);
         self.memoized(key, || {
-            Arc::new(self.compile_strategy_job(circuit, &tcache, strategy))
+            Arc::new(strategies::compile(self, circuit, &tcache, strategy))
         })
     }
 
@@ -416,36 +414,13 @@ impl SessionState {
         };
         let key = CacheKey::for_strategy(&job.circuit, job.strategy, topo_fp, self.config_fp);
         self.memoized(key, || {
-            Arc::new(self.compile_strategy_job(&job.circuit, tcache, job.strategy))
-        })
-    }
-
-    /// One strategy-level compilation against a registered topology cache.
-    /// The exhaustive strategies are dispatched through the session state
-    /// itself (their candidate evaluations must land in this session's
-    /// result cache); everything else goes through the stateless pipeline.
-    pub(crate) fn compile_strategy_job(
-        &self,
-        circuit: &Circuit,
-        tcache: &TopologyCache,
-        strategy: Strategy,
-    ) -> CompilationResult {
-        if let Strategy::Exhaustive { ordered } = strategy {
-            let (best, _) = run_exhaustive(
+            Arc::new(strategies::compile(
                 self,
-                circuit,
-                tcache.topology(),
-                &ExhaustiveOptions {
-                    ordered,
-                    ..ExhaustiveOptions::default()
-                },
-            );
-            let mut result = (*best).clone();
-            result.strategy = strategy.name().to_string();
-            result
-        } else {
-            compile_cached(circuit, tcache, strategy, &self.config)
-        }
+                &job.circuit,
+                tcache,
+                job.strategy,
+            ))
+        })
     }
 
     /// Options-level session compile (see [`Compiler::compile_with_options`]).
@@ -459,12 +434,7 @@ impl SessionState {
         let tcache = self.topology_cache_by_fp(topo_fp, topo);
         let key = CacheKey::for_options(circuit, options, topo_fp, self.config_fp);
         self.memoized(key, || {
-            Arc::new(compile_with_options_cached(
-                circuit,
-                &tcache,
-                &self.config,
-                options,
-            ))
+            Arc::new(pipeline::compile(circuit, &tcache, &self.config, options))
         })
     }
 
@@ -482,21 +452,6 @@ impl SessionState {
         registry.map.insert(topo_fp, Arc::clone(&cache));
         registry.order.push_back(topo_fp);
         cache
-    }
-
-    fn adopt_topology_cache(&self, cache: Arc<TopologyCache>) {
-        let topo_fp = cache.topology().structural_fingerprint();
-        let mut registry = self.topologies.lock().expect("topology registry poisoned");
-        if registry.map.contains_key(&topo_fp) {
-            return;
-        }
-        if registry.map.len() >= MAX_REGISTERED_TOPOLOGIES {
-            if let Some(oldest) = registry.order.pop_front() {
-                registry.map.remove(&oldest);
-            }
-        }
-        registry.map.insert(topo_fp, cache);
-        registry.order.push_back(topo_fp);
     }
 
     pub(crate) fn cache_stats(&self) -> CacheStats {
@@ -527,7 +482,7 @@ impl SessionState {
         let key = CacheKey::for_skeleton(skeleton, strategy, topo_fp, self.config_fp);
         memoized_in(self.skeletons.as_ref(), self.verify_hits, key, || {
             Arc::new(SkeletonArtifact::build(skeleton, |probe| {
-                self.compile_strategy_job(probe, tcache, strategy)
+                strategies::compile(self, probe, tcache, strategy)
             }))
         })
     }
@@ -776,12 +731,6 @@ impl Compiler {
     /// A session over `config` with every other knob at its default.
     pub fn with_config(config: &CompilerConfig) -> Self {
         Compiler::builder().config(config.clone()).build()
-    }
-
-    /// The shared state, for crate-internal callers (the exhaustive
-    /// search threads candidate evaluations through it).
-    pub(crate) fn state(&self) -> &Arc<SessionState> {
-        &self.state
     }
 
     /// The session's configuration.
@@ -1100,15 +1049,6 @@ impl Compiler {
     pub fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
         self.state
             .topology_cache_by_fp(topo.structural_fingerprint(), topo)
-    }
-
-    /// Registers an externally built [`TopologyCache`] under its
-    /// topology's structural fingerprint, so the session's compilations
-    /// reuse its precomputation (expanded graph, memoized oracles)
-    /// instead of rebuilding it. An existing registration for the same
-    /// structure wins — precomputation is pure, so either copy is valid.
-    pub(crate) fn adopt_topology_cache(&self, cache: Arc<TopologyCache>) {
-        self.state.adopt_topology_cache(cache);
     }
 
     /// Number of distinct topology structures registered so far.

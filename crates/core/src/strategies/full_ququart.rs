@@ -14,28 +14,30 @@ use crate::config::CompilerConfig;
 use crate::layout::Layout;
 use crate::metrics::Metrics;
 use crate::physical::PhysicalOp;
-use crate::pipeline::CompilationResult;
+use crate::pipeline::{CompilationResult, TopologyCache};
 use crate::scheduling::{schedule_ops, CoherenceTrace};
 use qompress_arch::{Slot, SlotIndex, Topology};
 use qompress_circuit::{Circuit, Gate, InteractionGraph};
 use qompress_pulse::GateClass;
 use std::collections::VecDeque;
 
-/// Compiles with the FQ baseline.
+/// Compiles with the FQ baseline onto `cache`'s topology, placing around
+/// the cache's memoized center.
 ///
 /// # Panics
 ///
 /// Panics when the architecture cannot host every pair with a reserved
 /// adjacent ancilla (FQ fundamentally needs the extra space, §6.2).
-pub fn compile_full_ququart(
+pub(crate) fn compile_full_ququart(
     circuit: &Circuit,
-    topo: &Topology,
+    cache: &TopologyCache,
     config: &CompilerConfig,
 ) -> CompilationResult {
+    let topo = cache.topology();
     let n = circuit.n_qubits();
     let pairs = greedy_matching(circuit);
     let mut fq = FqState::new(circuit, topo, &pairs);
-    fq.map_entities(config);
+    fq.map_entities(cache.center());
     let initial_placements = fq.layout.placements();
 
     for gate in circuit.iter() {
@@ -157,13 +159,13 @@ impl<'a> FqState<'a> {
         }
     }
 
-    /// Places pairs (with reserved adjacent ancillas) and leftovers.
-    fn map_entities(&mut self, _config: &CompilerConfig) {
+    /// Places pairs (with reserved adjacent ancillas) and leftovers,
+    /// nearest to `center` first.
+    fn map_entities(&mut self, center: usize) {
         let ig = InteractionGraph::build(self.circuit);
         let n_units = self.topo.n_nodes();
         let mut free = vec![true; n_units];
         let ug = self.topo.to_ugraph();
-        let center = self.topo.center();
         let center_dist = ug.bfs_distances(center);
 
         // Order pairs by combined weight, heaviest first.
@@ -409,7 +411,11 @@ impl<'a> FqState<'a> {
 mod tests {
     use super::*;
     use crate::mapping::MappingOptions;
-    use crate::pipeline::compile_with_options;
+
+    fn compile_fq(c: &Circuit, topo: &Topology) -> CompilationResult {
+        let config = CompilerConfig::paper();
+        compile_full_ququart(c, &TopologyCache::new(topo.clone(), &config), &config)
+    }
 
     fn sample_circuit() -> Circuit {
         let mut c = Circuit::new(6);
@@ -436,7 +442,7 @@ mod tests {
     fn fq_compiles_and_validates() {
         let c = sample_circuit();
         let topo = Topology::grid(6);
-        let r = compile_full_ququart(&c, &topo, &CompilerConfig::paper());
+        let r = compile_fq(&c, &topo);
         let problems = r.schedule.validate(&topo);
         assert!(problems.is_empty(), "{problems:?}");
         assert_eq!(r.pairs.len(), 3);
@@ -455,8 +461,13 @@ mod tests {
         let c = sample_circuit();
         let topo = Topology::grid(6);
         let config = CompilerConfig::paper();
-        let fq = compile_full_ququart(&c, &topo, &config);
-        let qo = compile_with_options(&c, &topo, &config, &MappingOptions::qubit_only());
+        let fq = compile_fq(&c, &topo);
+        let qo = crate::pipeline::compile(
+            &c,
+            &TopologyCache::new(topo, &config),
+            &config,
+            &MappingOptions::qubit_only(),
+        );
         assert!(fq.metrics.gate_eps < qo.metrics.gate_eps);
         assert!(fq.metrics.total_eps < qo.metrics.total_eps);
     }
@@ -469,7 +480,7 @@ mod tests {
             c.push(Gate::cx(0, 1));
         }
         let topo = Topology::grid(4);
-        let r = compile_full_ququart(&c, &topo, &CompilerConfig::paper());
+        let r = compile_fq(&c, &topo);
         assert_eq!(r.metrics.count(GateClass::Cx0), 4);
         assert_eq!(r.metrics.count(GateClass::Enc), 0);
         assert_eq!(r.metrics.count(GateClass::Dec), 0);
@@ -479,7 +490,7 @@ mod tests {
     fn paired_qubits_spend_lifetime_at_ququart_t1() {
         let c = sample_circuit();
         let topo = Topology::grid(6);
-        let r = compile_full_ququart(&c, &topo, &CompilerConfig::paper());
+        let r = compile_fq(&c, &topo);
         let d = r.metrics.duration_ns;
         for q in 0..6 {
             assert!((r.trace.ququart_ns[q] - d).abs() < 1e-9);
@@ -490,7 +501,7 @@ mod tests {
     fn fq_on_ring_topology() {
         let c = sample_circuit();
         let topo = Topology::ring(12);
-        let r = compile_full_ququart(&c, &topo, &CompilerConfig::paper());
+        let r = compile_fq(&c, &topo);
         assert!(r.schedule.validate(&topo).is_empty());
     }
 }

@@ -7,14 +7,11 @@ mod progressive;
 mod ring_based;
 
 pub(crate) use exhaustive::run_exhaustive;
-pub use exhaustive::{
-    compile_exhaustive, compile_exhaustive_cached, EcObjective, ExhaustiveOptions, ExhaustiveStep,
-};
+pub use exhaustive::{EcObjective, ExhaustiveOptions, ExhaustiveStep};
 
-use crate::config::CompilerConfig;
 use crate::mapping::MappingOptions;
-use crate::pipeline::{compile_with_options_cached, CompilationResult, TopologyCache};
-use qompress_arch::Topology;
+use crate::pipeline::{self, CompilationResult, TopologyCache};
+use crate::session::SessionState;
 use qompress_circuit::Circuit;
 
 /// The compilation strategies evaluated in the paper.
@@ -74,93 +71,39 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Compiles `circuit` onto `topo` with the chosen strategy.
+/// Compiles `circuit` onto `cache`'s topology with `strategy`.
 ///
-/// Compatibility wrapper over a one-shot [`crate::Compiler`] session (with
-/// caching off — a single compile has nothing to reuse). Callers that
-/// compile more than once should hold a session and use
-/// [`crate::Compiler::compile`], which deduplicates per-topology
-/// precomputation and memoizes repeated jobs.
-///
-/// ```no_run
-/// use qompress::{compile, CompilerConfig, Strategy};
-/// use qompress_arch::Topology;
-/// use qompress_circuit::{Circuit, Gate};
-///
-/// let mut c = Circuit::new(4);
-/// c.push(Gate::h(0));
-/// c.push(Gate::cx(0, 1));
-/// let r = compile(&c, &Topology::grid(4), Strategy::Eqm, &CompilerConfig::paper());
-/// println!("total EPS: {}", r.metrics.total_eps);
-/// ```
-pub fn compile(
-    circuit: &Circuit,
-    topo: &Topology,
-    strategy: Strategy,
-    config: &CompilerConfig,
-) -> CompilationResult {
-    let session = crate::session::Compiler::builder()
-        .config(config.clone())
-        .caching(false)
-        .build();
-    let result = session.compile(circuit, topo, strategy);
-    std::sync::Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone())
-}
-
-/// [`compile`] against a pre-built [`TopologyCache`], so batches share the
-/// per-topology precomputation (expanded graph, bare distance oracle)
-/// across jobs instead of rebuilding it for every compilation.
-pub fn compile_cached(
+/// Every strategy but EC is one pipeline pass that differs only in pair
+/// selection. EC is a search over pipeline passes: it runs through
+/// `session` so its candidate evaluations land in the session's result
+/// cache.
+pub(crate) fn compile(
+    session: &SessionState,
     circuit: &Circuit,
     cache: &TopologyCache,
     strategy: Strategy,
-    config: &CompilerConfig,
 ) -> CompilationResult {
-    let topo = cache.topology();
+    let config = &session.config;
+    let pipeline = |options: MappingOptions| pipeline::compile(circuit, cache, config, &options);
     let mut result = match strategy {
-        Strategy::QubitOnly => {
-            compile_with_options_cached(circuit, cache, config, &MappingOptions::qubit_only())
-        }
-        Strategy::Eqm => {
-            compile_with_options_cached(circuit, cache, config, &MappingOptions::eqm())
-        }
+        Strategy::QubitOnly => pipeline(MappingOptions::qubit_only()),
+        Strategy::Eqm => pipeline(MappingOptions::eqm()),
         Strategy::RingBased => {
-            let pairs = ring_based::find_pairs(circuit);
-            compile_with_options_cached(circuit, cache, config, &MappingOptions::with_pairs(pairs))
+            pipeline(MappingOptions::with_pairs(ring_based::find_pairs(circuit)))
         }
-        Strategy::Awe => {
-            let pairs = awe::find_pairs(circuit);
-            compile_with_options_cached(circuit, cache, config, &MappingOptions::with_pairs(pairs))
-        }
-        Strategy::ProgressivePairing => {
-            let pairs = progressive::find_pairs_cached(circuit, cache, config);
-            compile_with_options_cached(circuit, cache, config, &MappingOptions::with_pairs(pairs))
-        }
+        Strategy::Awe => pipeline(MappingOptions::with_pairs(awe::find_pairs(circuit))),
+        Strategy::ProgressivePairing => pipeline(MappingOptions::with_pairs(
+            progressive::find_pairs(circuit, cache, config),
+        )),
         Strategy::Exhaustive { ordered } => {
-            // EC is a *search*, not a single pipeline pass: it needs a
-            // session for its per-candidate memoization. Callers holding a
-            // session reach `run_exhaustive` through the session's own
-            // strategy dispatch instead of this arm; the one-shot session
-            // here serves direct `compile_cached` callers — it adopts the
-            // caller's `TopologyCache` (shared expanded graph + memoized
-            // oracles ride along via the `Arc`s inside the clone) so the
-            // function's precomputation-sharing contract still holds.
-            let session = crate::session::Compiler::builder()
-                .config(config.clone())
-                .build();
-            session.adopt_topology_cache(std::sync::Arc::new(cache.clone()));
-            let (result, _) = exhaustive::run_exhaustive(
-                session.state(),
-                circuit,
-                topo,
-                &ExhaustiveOptions {
-                    ordered,
-                    ..ExhaustiveOptions::default()
-                },
-            );
-            (*result).clone()
+            let options = ExhaustiveOptions {
+                ordered,
+                ..ExhaustiveOptions::default()
+            };
+            let (best, _) = run_exhaustive(session, circuit, cache.topology(), &options);
+            (*best).clone()
         }
-        Strategy::FullQuquart => full_ququart::compile_full_ququart(circuit, topo, config),
+        Strategy::FullQuquart => full_ququart::compile_full_ququart(circuit, cache, config),
     };
     result.strategy = strategy.name().to_string();
     result
@@ -169,7 +112,14 @@ pub fn compile_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Compiler;
+    use qompress_arch::Topology;
     use qompress_circuit::Gate;
+
+    /// A fresh session with caching off, so every call runs the pipeline.
+    fn uncached() -> Compiler {
+        Compiler::builder().caching(false).build()
+    }
 
     fn small_circuit() -> Circuit {
         let mut c = Circuit::new(5);
@@ -184,9 +134,9 @@ mod tests {
     fn every_strategy_compiles_and_validates() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let config = CompilerConfig::paper();
+        let session = uncached();
         for strategy in ALL_STRATEGIES {
-            let r = compile(&c, &topo, strategy, &config);
+            let r = session.compile(&c, &topo, strategy);
             let problems = r.schedule.validate(&topo);
             assert!(problems.is_empty(), "{strategy}: {problems:?}");
             assert!(r.metrics.total_eps > 0.0, "{strategy}");
@@ -207,7 +157,7 @@ mod tests {
     fn qubit_only_never_encodes() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let r = compile(&c, &topo, Strategy::QubitOnly, &CompilerConfig::paper());
+        let r = uncached().compile(&c, &topo, Strategy::QubitOnly);
         assert!(r.pairs.is_empty());
         assert!(!r.encoded_units.iter().any(|&e| e));
         assert_eq!(r.metrics.ququart_state_ns, 0.0);
@@ -217,10 +167,9 @@ mod tests {
     fn compression_strategies_are_deterministic() {
         let c = small_circuit();
         let topo = Topology::grid(5);
-        let config = CompilerConfig::paper();
         for strategy in [Strategy::Eqm, Strategy::RingBased, Strategy::Awe] {
-            let a = compile(&c, &topo, strategy, &config);
-            let b = compile(&c, &topo, strategy, &config);
+            let a = uncached().compile(&c, &topo, strategy);
+            let b = uncached().compile(&c, &topo, strategy);
             assert_eq!(a.metrics.total_eps, b.metrics.total_eps, "{strategy}");
             assert_eq!(a.schedule.len(), b.schedule.len(), "{strategy}");
         }

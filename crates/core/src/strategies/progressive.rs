@@ -8,7 +8,7 @@
 
 use crate::config::CompilerConfig;
 use crate::cost::DistanceOracle;
-use crate::mapping::{map_circuit, MappingOptions};
+use crate::mapping::{map_circuit_with_center, MappingOptions};
 use crate::pipeline::TopologyCache;
 use qompress_arch::Slot;
 use qompress_circuit::{Circuit, InteractionGraph};
@@ -21,23 +21,26 @@ const MIN_GAIN: f64 = 1e-9;
 /// all-bare layout, so it reuses the cache's bare oracle; later iterations
 /// fetch the oracle for their encoded-unit signature from the cache's
 /// per-signature map ([`TopologyCache::oracle_for`]), sharing it with any
-/// other job that encodes the same units.
-pub fn find_pairs_cached(
+/// other job that encodes the same units. Every iteration maps around the
+/// cache's memoized center instead of searching for it again.
+pub(crate) fn find_pairs(
     circuit: &Circuit,
     cache: &TopologyCache,
     config: &CompilerConfig,
 ) -> Vec<(usize, usize)> {
     let topo = cache.topology();
+    let center = cache.center();
     let ig = InteractionGraph::build(circuit);
     let n = circuit.n_qubits();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
 
     loop {
-        let layout = map_circuit(
+        let layout = map_circuit_with_center(
             circuit,
             topo,
             config,
             &MappingOptions::with_pairs(pairs.clone()),
+            center,
         );
         let oracle = cache.oracle_for(&layout);
         let in_pair = |q: usize| pairs.iter().any(|&(a, b)| a == q || b == q);
@@ -127,8 +130,8 @@ mod tests {
     use qompress_arch::Topology;
     use qompress_circuit::Gate;
 
-    fn find_pairs(c: &Circuit, topo: &Topology, config: &CompilerConfig) -> Vec<(usize, usize)> {
-        find_pairs_cached(c, &TopologyCache::new(topo.clone(), config), config)
+    fn pairs_on(c: &Circuit, topo: &Topology, config: &CompilerConfig) -> Vec<(usize, usize)> {
+        find_pairs(c, &TopologyCache::new(topo.clone(), config), config)
     }
 
     #[test]
@@ -143,7 +146,7 @@ mod tests {
             c.push(Gate::cx(a, b));
         }
         let topo = Topology::grid(6);
-        let pairs = find_pairs(&c, &topo, &CompilerConfig::paper());
+        let pairs = pairs_on(&c, &topo, &CompilerConfig::paper());
         let mut seen = std::collections::HashSet::new();
         for &(a, b) in &pairs {
             assert!(seen.insert(a));
@@ -157,7 +160,7 @@ mod tests {
         c.push(Gate::h(0));
         c.push(Gate::h(1));
         let topo = Topology::grid(4);
-        assert!(find_pairs(&c, &topo, &CompilerConfig::paper()).is_empty());
+        assert!(pairs_on(&c, &topo, &CompilerConfig::paper()).is_empty());
     }
 
     #[test]
@@ -168,7 +171,7 @@ mod tests {
         }
         let topo = Topology::grid(5);
         let cfg = CompilerConfig::paper();
-        assert_eq!(find_pairs(&c, &topo, &cfg), find_pairs(&c, &topo, &cfg));
+        assert_eq!(pairs_on(&c, &topo, &cfg), pairs_on(&c, &topo, &cfg));
     }
 
     #[test]
@@ -180,7 +183,7 @@ mod tests {
             }
         }
         let topo = Topology::grid(6);
-        let pairs = find_pairs(&c, &topo, &CompilerConfig::paper());
+        let pairs = pairs_on(&c, &topo, &CompilerConfig::paper());
         assert!(pairs.len() <= 3);
     }
 }

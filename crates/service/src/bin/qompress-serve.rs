@@ -61,7 +61,9 @@
 //! ```
 
 use qompress::Compiler;
-use qompress_service::{DrainHandle, ServiceLimits, DEFAULT_DISK_CACHE_BYTES};
+use qompress_service::{
+    DrainHandle, Listener, ServeOptions, ServiceLimits, DEFAULT_DISK_CACHE_BYTES,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -270,49 +272,42 @@ fn main() -> ExitCode {
             .expect("spawn signal watcher");
     }
 
-    let served = match (tcp, unix) {
-        (Some(addr), None) => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
-                Err(err) => {
-                    eprintln!("cannot bind tcp {addr}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "qompress-serve: tcp {} ({} workers)",
-                listener.local_addr().map_or(addr, |a| a.to_string()),
-                session.workers()
-            );
-            qompress_service::serve_tcp_draining(
-                listener,
-                Arc::clone(&session),
-                limits,
-                drain.clone(),
-            )
-        }
+    let listener: Listener = match (tcp, unix) {
+        (Some(addr), None) => match std::net::TcpListener::bind(&addr) {
+            Ok(l) => {
+                eprintln!(
+                    "qompress-serve: tcp {} ({} workers)",
+                    l.local_addr().map_or(addr, |a| a.to_string()),
+                    session.workers()
+                );
+                l.into()
+            }
+            Err(err) => {
+                eprintln!("cannot bind tcp {addr}: {err}");
+                return ExitCode::FAILURE;
+            }
+        },
         #[cfg(unix)]
-        (None, Some(path)) => {
-            let listener = match std::os::unix::net::UnixListener::bind(&path) {
-                Ok(l) => l,
-                Err(err) => {
-                    eprintln!("cannot bind unix socket {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "qompress-serve: unix {path} ({} workers)",
-                session.workers()
-            );
-            qompress_service::serve_unix_draining(
-                listener,
-                Arc::clone(&session),
-                limits,
-                drain.clone(),
-            )
-        }
+        (None, Some(path)) => match std::os::unix::net::UnixListener::bind(&path) {
+            Ok(l) => {
+                eprintln!(
+                    "qompress-serve: unix {path} ({} workers)",
+                    session.workers()
+                );
+                l.into()
+            }
+            Err(err) => {
+                eprintln!("cannot bind unix socket {path}: {err}");
+                return ExitCode::FAILURE;
+            }
+        },
         _ => return usage(),
     };
+    let options = ServeOptions {
+        limits,
+        drain: Some(drain),
+    };
+    let served = qompress_service::serve(listener, Arc::clone(&session), options);
     if let Err(err) = served {
         eprintln!("accept failed: {err}");
         return ExitCode::FAILURE;

@@ -10,8 +10,9 @@
 //! The protocol is line-delimited JSON (one object per line, both
 //! directions) — see [`proto`] for the exact message shapes. Transports:
 //!
-//! * **TCP** — [`serve_tcp`] over a caller-bound `TcpListener`;
-//! * **Unix socket** — [`serve_unix`] (unix only);
+//! * **TCP** — [`serve`] over a caller-bound `TcpListener`;
+//! * **Unix socket** — [`serve`] over a caller-bound `UnixListener` (unix
+//!   only);
 //! * **in-memory loopback** — [`loopback`], for tests and the CI smoke
 //!   example (`examples/service_sweep.rs` at the workspace root), which
 //!   exercise the full protocol with no kernel sockets at all.
@@ -20,14 +21,14 @@
 //!
 //! ## Hardening: limits, quotas, backpressure
 //!
-//! The server assumes hostile clients. Every entry point has a
-//! `*_with_limits` twin taking a [`ServiceLimits`] (the plain forms use
-//! [`ServiceLimits::default`]): request-shape bounds (circuit
-//! qubits/gates, topology size, sweep width), per-connection quotas
-//! (outstanding and lifetime job counts, uploaded topologies),
-//! queue-depth backpressure and an idle-connection timeout. Rejections
-//! are structured, machine-readable response lines — the connection
-//! stays usable:
+//! The server assumes hostile clients. [`serve`] and
+//! [`serve_duplex_with`] take [`ServeOptions`], whose [`ServiceLimits`]
+//! ([`serve_duplex`] uses [`ServiceLimits::default`]) set request-shape
+//! bounds (circuit qubits/gates, topology size, sweep width),
+//! per-connection quotas (outstanding and lifetime job counts, uploaded
+//! topologies), queue-depth backpressure and an idle-connection timeout.
+//! Rejections are structured, machine-readable response lines — the
+//! connection stays usable:
 //!
 //! * shape/parse violations → `{"ok":false,"error":"…"}`;
 //! * quota violations → `{"ok":false,"error":"…","quota":"<kind>",
@@ -46,10 +47,9 @@
 //! transport errors qualify once a reconnect hook is installed
 //! ([`ServiceClient::set_reconnect`]) — resubmitting after a reconnect
 //! is safe because results are content-addressed. On the server side, a
-//! [`DrainHandle`] turns the `*_draining` entry points
-//! ([`serve_tcp_draining`], [`serve_unix_draining`],
-//! [`serve_duplex_draining`]) into gracefully stoppable servers: once
-//! tripped, the accept loop returns, new submits answer
+//! [`DrainHandle`] in [`ServeOptions::drain`] makes [`serve`] and
+//! [`serve_duplex_with`] gracefully stoppable: once tripped, the accept
+//! loop returns, new submits answer
 //! `{"ok":false,"draining":true,…}` ([`ServiceError::Draining`], never
 //! retried), and in-flight jobs finish with their events still
 //! streaming.
@@ -108,9 +108,4 @@ pub use proto::{
     parse_topology_spec, parse_topology_spec_bounded, result_fingerprint, strategy_by_name,
     Request, ServiceEvent, WireMetrics, DEFAULT_MAX_TOPOLOGY_NODES,
 };
-pub use server::{
-    serve_duplex, serve_duplex_draining, serve_duplex_with_limits, serve_tcp, serve_tcp_draining,
-    serve_tcp_with_limits,
-};
-#[cfg(unix)]
-pub use server::{serve_unix, serve_unix_draining, serve_unix_with_limits};
+pub use server::{serve, serve_duplex, serve_duplex_with, Listener, ServeOptions};

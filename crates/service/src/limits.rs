@@ -8,8 +8,8 @@
 //! topology size, sweep width), per-connection quotas (outstanding and
 //! lifetime job counts, uploaded topologies), queue-depth backpressure,
 //! and the idle-connection timeout. `qompress-serve` exposes each as a
-//! flag; the `serve_*_with_limits` entry points thread one config into
-//! every connection.
+//! flag; [`crate::ServeOptions::limits`] threads one config into every
+//! connection.
 //!
 //! Violations are **structured responses, not disconnects**: a request
 //! past a shape bound or quota answers `{"ok":false,…}` with a `quota`

@@ -1,21 +1,21 @@
 //! The wire-protocol server: one reader loop + one completion pump per
 //! connection, multiplexed onto a shared [`Compiler`] session.
 //!
-//! [`serve_duplex`] drives one connection over any `(Read, Write)` pair —
-//! a TCP stream, a Unix socket, or the in-memory [`crate::loopback`]
-//! transport. [`serve_tcp`] and [`serve_unix`] accept connections in a
-//! loop and spawn one `serve_duplex` thread each; every connection shares
-//! the session's worker pool, topology registry and result cache, so a
-//! circuit submitted twice — by the same client or two different ones —
-//! compiles once.
+//! [`serve_duplex_with`] drives one connection over any `(Read, Write)`
+//! pair — a TCP stream, a Unix socket, or the in-memory
+//! [`crate::loopback`] transport; [`serve_duplex`] is its
+//! default-options form. [`serve`] accepts connections on a TCP or Unix
+//! [`Listener`] in one loop and spawns one connection thread each; every
+//! connection shares the session's worker pool, topology registry and
+//! result cache, so a circuit submitted twice — by the same client or two
+//! different ones — compiles once.
 //!
-//! Every entry point has a `*_with_limits` twin taking a
-//! [`ServiceLimits`]; the plain forms serve with
-//! [`ServiceLimits::default`]. Limits are enforced per connection:
-//! request-shape bounds and quotas answer structured `{"ok":false,…}`
-//! responses (the connection stays usable), queue-depth backpressure
-//! answers `busy` responses with the current depth, and the idle timeout
-//! writes a final `timeout` line before closing.
+//! Both take [`ServeOptions`]: the [`ServiceLimits`] every connection is
+//! held to and an optional [`DrainHandle`]. Limits are enforced per
+//! connection: request-shape bounds and quotas answer structured
+//! `{"ok":false,…}` responses (the connection stays usable), queue-depth
+//! backpressure answers `busy` responses with the current depth, and the
+//! idle timeout writes a final `timeout` line before closing.
 
 use crate::drain::DrainHandle;
 use crate::json::escape;
@@ -28,7 +28,9 @@ use qompress_arch::Topology;
 use qompress_qasm::{parse_parametric_qasm_bounded, parse_qasm_bounded};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -51,8 +53,35 @@ enum ConnJob {
     Finished(JobStatus),
 }
 
+/// How a server runs its connections.
+#[derive(Debug, Clone, Default)]
+pub struct ServeOptions {
+    /// The admission limits every connection is held to.
+    pub limits: ServiceLimits,
+    /// When set, tripping the handle stops [`serve`]'s accept loop (which
+    /// then returns `Ok(())`) and makes every connection answer new
+    /// `submit`/`submit_sweep` requests with `{"ok":false,"draining":true,…}`,
+    /// while every other op and the event stream for already-admitted jobs
+    /// keep working. A connection still runs to EOF: drain stops *work
+    /// intake*, not conversations.
+    pub drain: Option<DrainHandle>,
+}
+
 /// Serves one client connection until EOF, blocking the calling thread,
-/// with [`ServiceLimits::default`] admission limits.
+/// with default [`ServeOptions`] (see [`serve_duplex_with`]).
+///
+/// # Errors
+///
+/// As [`serve_duplex_with`].
+pub fn serve_duplex<R, W>(session: Arc<Compiler>, reader: R, writer: W) -> io::Result<()>
+where
+    R: Read,
+    W: Write + Send + 'static,
+{
+    serve_duplex_with(session, reader, writer, ServeOptions::default())
+}
+
+/// Serves one client connection until EOF, blocking the calling thread.
 ///
 /// Requests are answered in order on `writer`; completion events for
 /// every job submitted on *this* connection are interleaved as the jobs
@@ -62,8 +91,11 @@ enum ConnJob {
 ///
 /// The caller constructed the transport, so this single connection is
 /// trusted with the session-wide admin ops (`pause`/`resume`); the
-/// shared listeners ([`serve_tcp`]/[`serve_unix`]) disable those per
-/// connection.
+/// shared listeners of [`serve`] disable those per connection. The
+/// transport's own read timeout is the caller's to configure (e.g.
+/// [`crate::LoopbackReader::set_read_timeout`]); `limits.idle_timeout`
+/// here only labels the closing `timeout` line — [`serve`] applies it to
+/// its streams for you.
 ///
 /// # Errors
 ///
@@ -73,57 +105,17 @@ enum ConnJob {
 /// the connection. An idle timeout (a read failing with
 /// [`io::ErrorKind::WouldBlock`] or [`io::ErrorKind::TimedOut`]) writes
 /// a final `timeout` line and ends the connection cleanly with `Ok`.
-pub fn serve_duplex<R, W>(session: Arc<Compiler>, reader: R, writer: W) -> io::Result<()>
-where
-    R: Read,
-    W: Write + Send + 'static,
-{
-    serve_conn(
-        session,
-        reader,
-        writer,
-        true,
-        ServiceLimits::default(),
-        None,
-    )
-}
-
-/// [`serve_duplex`] with explicit admission limits. The transport's own
-/// read timeout is the caller's to configure (e.g.
-/// [`crate::LoopbackReader::set_read_timeout`]); `limits.idle_timeout`
-/// here only labels the closing `timeout` line — the socket listeners
-/// apply it to their streams for you.
-pub fn serve_duplex_with_limits<R, W>(
+pub fn serve_duplex_with<R, W>(
     session: Arc<Compiler>,
     reader: R,
     writer: W,
-    limits: ServiceLimits,
+    options: ServeOptions,
 ) -> io::Result<()>
 where
     R: Read,
     W: Write + Send + 'static,
 {
-    serve_conn(session, reader, writer, true, limits, None)
-}
-
-/// [`serve_duplex_with_limits`] watching a [`DrainHandle`]: once the
-/// handle trips, new `submit`/`submit_sweep` requests on this connection
-/// answer `{"ok":false,"draining":true,…}` while every other op (and
-/// the event stream for already-admitted jobs) keeps working. The
-/// connection still runs to EOF — drain stops *work intake*, not
-/// conversations.
-pub fn serve_duplex_draining<R, W>(
-    session: Arc<Compiler>,
-    reader: R,
-    writer: W,
-    limits: ServiceLimits,
-    drain: DrainHandle,
-) -> io::Result<()>
-where
-    R: Read,
-    W: Write + Send + 'static,
-{
-    serve_conn(session, reader, writer, true, limits, Some(drain))
+    serve_conn(session, reader, writer, true, options)
 }
 
 /// Per-connection admission state: the lifetime job count, the uploaded
@@ -135,7 +127,7 @@ struct ConnState<'a> {
     outstanding: &'a AtomicUsize,
     total_jobs: u64,
     topologies: HashMap<String, Topology>,
-    /// The server's drain flag; `None` on non-draining entry points.
+    /// The server's drain flag; `None` when serving without one.
     drain: Option<&'a DrainHandle>,
 }
 
@@ -256,25 +248,24 @@ impl ConnState<'_> {
     }
 }
 
-/// [`serve_duplex`] with an explicit admin switch and limits: when
-/// `admin` is false, the session-wide `pause`/`resume` ops answer
-/// `{"ok":false,…}` instead of acting. Shared listeners
-/// ([`serve_tcp`]/[`serve_unix`]) run every connection with
-/// `admin = false`, so no single remote client can stall every other
-/// client's jobs; the single-connection [`serve_duplex`] (whose
-/// transport the caller constructed and controls) allows them.
+/// [`serve_duplex_with`] with an explicit admin switch: when `admin` is
+/// false, the session-wide `pause`/`resume` ops answer `{"ok":false,…}`
+/// instead of acting. The shared listeners of [`serve`] run every
+/// connection with `admin = false`, so no single remote client can stall
+/// every other client's jobs; the single-connection [`serve_duplex_with`]
+/// (whose transport the caller constructed and controls) allows them.
 fn serve_conn<R, W>(
     session: Arc<Compiler>,
     reader: R,
     writer: W,
     admin: bool,
-    limits: ServiceLimits,
-    drain: Option<DrainHandle>,
+    options: ServeOptions,
 ) -> io::Result<()>
 where
     R: Read,
     W: Write + Send + 'static,
 {
+    let ServeOptions { limits, drain } = options;
     let writer = Arc::new(Mutex::new(writer));
     let handles: Arc<Mutex<HashMap<u64, ConnJob>>> = Arc::new(Mutex::new(HashMap::new()));
     let completions = CompletionQueue::new();
@@ -676,194 +667,237 @@ fn idle_timeout_line(timeout: Option<Duration>) -> String {
     )
 }
 
-/// Accepts TCP connections forever, serving each on its own thread over
-/// the shared session with [`ServiceLimits::default`] limits. Bind the
-/// listener yourself (port 0 for tests):
+/// A bound socket listener for [`serve`]; convert one from a
+/// `TcpListener` or (on unix) a `UnixListener` with `into()`.
+#[derive(Debug)]
+pub enum Listener {
+    /// A TCP listener.
+    Tcp(TcpListener),
+    /// A Unix-domain socket listener.
+    #[cfg(unix)]
+    Unix(UnixListener),
+}
+
+impl From<TcpListener> for Listener {
+    fn from(listener: TcpListener) -> Self {
+        Listener::Tcp(listener)
+    }
+}
+
+#[cfg(unix)]
+impl From<UnixListener> for Listener {
+    fn from(listener: UnixListener) -> Self {
+        Listener::Unix(listener)
+    }
+}
+
+/// Accepts connections on `listener`, serving each on its own thread over
+/// the shared session. Bind the listener yourself (port 0 for tests):
 ///
 /// ```no_run
 /// use std::net::TcpListener;
 /// use std::sync::Arc;
 /// let session = Arc::new(qompress::Compiler::builder().build());
 /// let listener = TcpListener::bind("127.0.0.1:7878").unwrap();
-/// qompress_service::serve_tcp(listener, session).unwrap();
+/// qompress_service::serve(listener, session, Default::default()).unwrap();
 /// ```
 ///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp(listener: TcpListener, session: Arc<Compiler>) -> io::Result<()> {
-    serve_tcp_with_limits(listener, session, ServiceLimits::default())
-}
-
-/// [`serve_tcp`] with explicit admission limits; `limits.idle_timeout`
-/// is applied to every accepted stream via `set_read_timeout`
-/// (best-effort — a socket that refuses the option still serves, just
-/// without an idle timeout).
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp_with_limits(
-    listener: TcpListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let _ = stream.set_read_timeout(limits.idle_timeout);
-        let session = Arc::clone(&session);
-        let limits = limits.clone();
-        let reader = stream.try_clone()?;
-        std::thread::Builder::new()
-            .name("qompress-service-conn".to_string())
-            .spawn(move || {
-                let _ = serve_conn(session, reader, stream, false, limits, None);
-            })
-            .expect("spawn connection thread");
-    }
-    Ok(())
-}
-
-/// How long a draining accept loop sleeps between polls of its
-/// (nonblocking) listener and the drain flag.
-const DRAIN_POLL: Duration = Duration::from_millis(25);
-
-/// [`serve_tcp_with_limits`] watching a [`DrainHandle`]: the listener is
-/// switched to nonblocking so the accept loop can poll the flag, and the
-/// call **returns `Ok(())` once the handle trips** — no new connections
-/// are accepted from that point. Connections already being served keep
+/// `options.limits.idle_timeout` is applied to every accepted stream via
+/// `set_read_timeout` (best-effort — a socket that refuses the option
+/// still serves, just without an idle timeout). Without a drain handle
+/// the loop blocks in `accept` and runs forever. With one, the listener
+/// is switched to nonblocking so the loop can poll the flag, and the call
+/// **returns `Ok(())` once the handle trips** — no new connections are
+/// accepted from that point. Connections already being served keep
 /// running (their submits answer `draining`, their event streams flush);
 /// waiting out in-flight jobs is the caller's next step (see
 /// `qompress-serve --drain-timeout`).
 ///
 /// # Errors
 ///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-pub fn serve_tcp_draining(
-    listener: TcpListener,
+/// Returns the first `accept` error other than an interruption;
+/// per-connection I/O errors, including a failure to set up an accepted
+/// stream, only end their own connection.
+pub fn serve(
+    listener: impl Into<Listener>,
     session: Arc<Compiler>,
-    limits: ServiceLimits,
-    drain: DrainHandle,
+    options: ServeOptions,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if drain.is_draining() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
+    match listener.into() {
+        Listener::Tcp(listener) => accept_loop(&listener, &session, &options),
+        #[cfg(unix)]
+        Listener::Unix(listener) => accept_loop(&listener, &session, &options),
+    }
+}
+
+/// How long a draining accept loop sleeps between polls of its
+/// (nonblocking) listener and the drain flag.
+const DRAIN_POLL: Duration = Duration::from_millis(25);
+
+/// What the accept loop needs of a socket listener and its streams.
+trait Accept {
+    type Stream: Read + Write + Send + 'static;
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    fn accept_stream(&self) -> io::Result<Self::Stream>;
+    /// Readies an accepted stream for a blocking connection thread with
+    /// `timeout` as its read timeout, and returns a second handle to read
+    /// from.
+    fn ready(&self, stream: &Self::Stream, timeout: Option<Duration>) -> io::Result<Self::Stream>;
+}
+
+macro_rules! impl_accept {
+    ($listener:ty, $stream:ty) => {
+        impl Accept for $listener {
+            type Stream = $stream;
+
+            fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+                <$listener>::set_nonblocking(self, nonblocking)
+            }
+
+            fn accept_stream(&self) -> io::Result<$stream> {
+                self.accept().map(|(stream, _addr)| stream)
+            }
+
+            fn ready(&self, stream: &$stream, timeout: Option<Duration>) -> io::Result<$stream> {
                 // The accepted stream inherits nonblocking from the
                 // listener on some platforms — undo that before handing
                 // it to the blocking per-connection reader.
                 stream.set_nonblocking(false)?;
-                let _ = stream.set_read_timeout(limits.idle_timeout);
-                let session = Arc::clone(&session);
-                let limits = limits.clone();
-                let drain = drain.clone();
-                let reader = stream.try_clone()?;
-                std::thread::Builder::new()
-                    .name("qompress-service-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_conn(session, reader, stream, false, limits, Some(drain));
-                    })
-                    .expect("spawn connection thread");
+                let _ = stream.set_read_timeout(timeout);
+                stream.try_clone()
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(DRAIN_POLL);
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
         }
+    };
+}
+
+impl_accept!(TcpListener, TcpStream);
+#[cfg(unix)]
+impl_accept!(UnixListener, UnixStream);
+
+/// The one accept loop behind [`serve`].
+fn accept_loop<L: Accept>(
+    listener: &L,
+    session: &Arc<Compiler>,
+    options: &ServeOptions,
+) -> io::Result<()> {
+    if options.drain.is_some() {
+        listener.set_nonblocking(true)?;
     }
-}
-
-/// [`serve_tcp`] over a Unix-domain socket listener.
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-) -> io::Result<()> {
-    serve_unix_with_limits(listener, session, ServiceLimits::default())
-}
-
-/// [`serve_unix`] with explicit admission limits; `limits.idle_timeout`
-/// is applied to every accepted stream via `set_read_timeout`
-/// (best-effort, as with [`serve_tcp_with_limits`]).
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix_with_limits(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let _ = stream.set_read_timeout(limits.idle_timeout);
-        let session = Arc::clone(&session);
-        let limits = limits.clone();
-        let reader = stream.try_clone()?;
-        std::thread::Builder::new()
-            .name("qompress-service-conn".to_string())
-            .spawn(move || {
-                let _ = serve_conn(session, reader, stream, false, limits, None);
-            })
-            .expect("spawn connection thread");
-    }
-    Ok(())
-}
-
-/// [`serve_tcp_draining`] over a Unix-domain socket listener: returns
-/// `Ok(())` once the handle trips; already-accepted connections keep
-/// running with submits answering `draining`.
-///
-/// # Errors
-///
-/// Returns the first `accept` error; per-connection I/O errors only end
-/// their own connection thread.
-#[cfg(unix)]
-pub fn serve_unix_draining(
-    listener: std::os::unix::net::UnixListener,
-    session: Arc<Compiler>,
-    limits: ServiceLimits,
-    drain: DrainHandle,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
     loop {
-        if drain.is_draining() {
+        if options.drain.as_ref().is_some_and(DrainHandle::is_draining) {
             return Ok(());
         }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                stream.set_nonblocking(false)?;
-                let _ = stream.set_read_timeout(limits.idle_timeout);
-                let session = Arc::clone(&session);
-                let limits = limits.clone();
-                let drain = drain.clone();
-                let reader = stream.try_clone()?;
-                std::thread::Builder::new()
-                    .name("qompress-service-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_conn(session, reader, stream, false, limits, Some(drain));
-                    })
-                    .expect("spawn connection thread");
+        match listener.accept_stream() {
+            Ok(stream) => {
+                // A stream that cannot be set up is dropped, which closes
+                // it; the loop keeps accepting.
+                let _ = spawn_connection(listener, stream, session, options);
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(DRAIN_POLL);
             }
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
             Err(err) => return Err(err),
+        }
+    }
+}
+
+/// Serves one accepted stream on its own thread.
+fn spawn_connection<L: Accept>(
+    listener: &L,
+    stream: L::Stream,
+    session: &Arc<Compiler>,
+    options: &ServeOptions,
+) -> io::Result<()> {
+    let reader = listener.ready(&stream, options.limits.idle_timeout)?;
+    let session = Arc::clone(session);
+    let options = options.clone();
+    std::thread::Builder::new()
+        .name("qompress-service-conn".to_string())
+        .spawn(move || {
+            let _ = serve_conn(session, reader, stream, false, options);
+        })
+        .map(drop)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServiceClient, ServiceEvent};
+    use qompress::Strategy;
+
+    /// A TCP listener whose first `accept` is interrupted and whose first
+    /// accepted stream fails setup.
+    struct Flaky {
+        inner: TcpListener,
+        accepts: AtomicUsize,
+        readies: AtomicUsize,
+    }
+
+    impl Accept for Flaky {
+        type Stream = TcpStream;
+
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.inner.set_nonblocking(nonblocking)
+        }
+
+        fn accept_stream(&self) -> io::Result<TcpStream> {
+            if self.accepts.fetch_add(1, Ordering::SeqCst) == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.accept_stream()
+        }
+
+        fn ready(&self, stream: &TcpStream, timeout: Option<Duration>) -> io::Result<TcpStream> {
+            if self.readies.fetch_add(1, Ordering::SeqCst) == 0 {
+                return Err(io::Error::other("injected stream setup failure"));
+            }
+            self.inner.ready(stream, timeout)
+        }
+    }
+
+    #[test]
+    fn interrupts_and_stream_setup_failures_do_not_end_the_accept_loop() {
+        const QASM: &str = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n";
+        // Blocking (no drain handle) and polling (with one) modes.
+        for drain in [None, Some(DrainHandle::new())] {
+            let inner = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = inner.local_addr().expect("local addr");
+            let listener = Flaky {
+                inner,
+                accepts: AtomicUsize::new(0),
+                readies: AtomicUsize::new(0),
+            };
+            let session = Arc::new(Compiler::builder().workers(1).build());
+            let options = ServeOptions {
+                drain: drain.clone(),
+                ..ServeOptions::default()
+            };
+            let server = std::thread::spawn(move || accept_loop(&listener, &session, &options));
+
+            // The first connection fails setup: the server closes it.
+            let mut dropped = TcpStream::connect(addr).expect("connect");
+            dropped
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            assert_eq!(dropped.read(&mut [0u8; 1]).expect("clean close"), 0);
+
+            // The loop is still accepting: the next client is served.
+            let stream = TcpStream::connect(addr).expect("connect");
+            let reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut client = ServiceClient::new(reader, stream);
+            let job = client
+                .submit("after", Strategy::Eqm, "grid:2", QASM)
+                .expect("served after a failed setup");
+            assert!(matches!(
+                client.next_event().expect("completion"),
+                ServiceEvent::Done { job: done, .. } if done == job
+            ));
+
+            if let Some(drain) = drain {
+                drain.trigger();
+                server.join().expect("server thread").expect("drained");
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 
 use qompress::{Compiler, Strategy};
 use qompress_service::{
-    loopback, serve_duplex, serve_duplex_with_limits, ServiceClient, ServiceError, ServiceEvent,
-    ServiceLimits,
+    loopback, serve_duplex, serve_duplex_with, ServeOptions, ServiceClient, ServiceError,
+    ServiceEvent, ServiceLimits,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
@@ -26,7 +26,15 @@ fn connect_with_limits(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            ServeOptions {
+                limits,
+                ..Default::default()
+            },
+        )
     });
     let (reader, writer) = client_end.split();
     (ServiceClient::new(BufReader::new(reader), writer), server)
@@ -406,7 +414,15 @@ fn idle_connection_gets_a_timeout_line_then_a_clean_close() {
         ..ServiceLimits::default()
     };
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            ServeOptions {
+                limits,
+                ..Default::default()
+            },
+        )
     });
 
     let (reader, mut writer) = client_end.split();
@@ -445,7 +461,14 @@ fn idle_timeout_over_tcp() {
         ..ServiceLimits::default()
     };
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_tcp_with_limits(listener, session, limits);
+        let _ = qompress_service::serve(
+            listener,
+            session,
+            qompress_service::ServeOptions {
+                limits,
+                ..Default::default()
+            },
+        );
     });
 
     let stream = TcpStream::connect(addr).unwrap();

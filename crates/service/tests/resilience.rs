@@ -7,8 +7,8 @@
 
 use qompress::{Compiler, Strategy};
 use qompress_service::{
-    loopback, serve_duplex_draining, serve_duplex_with_limits, serve_tcp_draining, DrainHandle,
-    RetryPolicy, ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
+    loopback, serve, serve_duplex_with, DrainHandle, RetryPolicy, ServeOptions, ServiceClient,
+    ServiceError, ServiceEvent, ServiceLimits,
 };
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -27,7 +27,15 @@ fn connect_with_limits(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            ServeOptions {
+                limits,
+                ..Default::default()
+            },
+        )
     });
     let (reader, writer) = client_end.split();
     (ServiceClient::new(BufReader::new(reader), writer), server)
@@ -42,7 +50,15 @@ fn connect_draining(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_draining(session, server_reader, server_writer, limits, drain)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            ServeOptions {
+                limits,
+                drain: Some(drain),
+            },
+        )
     });
     let (reader, writer) = client_end.split();
     (ServiceClient::new(BufReader::new(reader), writer), server)
@@ -241,7 +257,14 @@ fn reconnect_hook_rides_over_transport_loss() {
         let session = Arc::clone(&session);
         let drain = drain.clone();
         std::thread::spawn(move || {
-            serve_tcp_draining(listener, session, ServiceLimits::default(), drain)
+            serve(
+                listener,
+                session,
+                ServeOptions {
+                    drain: Some(drain),
+                    ..Default::default()
+                },
+            )
         })
     };
 
@@ -288,6 +311,62 @@ fn reconnect_hook_rides_over_transport_loss() {
         .join()
         .expect("server thread")
         .expect("accept loop exit");
+}
+
+#[cfg(unix)]
+#[test]
+fn draining_unix_listener_returns_and_streams_in_flight_work() {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let dir = std::env::temp_dir().join(format!("qompress-drain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let path = dir.join("drain.sock");
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind unix socket");
+
+    let session = Arc::new(Compiler::builder().workers(1).build());
+    let drain = DrainHandle::new();
+    let server = {
+        let session = Arc::clone(&session);
+        let drain = drain.clone();
+        std::thread::spawn(move || {
+            serve(
+                listener,
+                session,
+                ServeOptions {
+                    drain: Some(drain),
+                    ..Default::default()
+                },
+            )
+        })
+    };
+
+    let stream = UnixStream::connect(&path).expect("connect");
+    let reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut client = ServiceClient::new(reader, stream);
+
+    // Park one admitted job in flight (its response proves the connection
+    // was accepted), then trip the drain: the accept loop returns.
+    session.pause_workers();
+    let inflight = client
+        .submit("inflight", Strategy::Eqm, "grid:2", SMALL_QASM)
+        .expect("accepted before the drain");
+    drain.trigger();
+    server
+        .join()
+        .expect("server thread")
+        .expect("accept loop returns Ok once drained");
+
+    let err = client
+        .submit("late", Strategy::Eqm, "grid:2", SMALL_QASM)
+        .expect_err("draining server accepts no new jobs");
+    assert!(matches!(err, ServiceError::Draining { .. }), "{err}");
+
+    session.resume_workers();
+    assert!(matches!(
+        client.next_event().expect("in-flight completion"),
+        ServiceEvent::Done { job, .. } if job == inflight
+    ));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

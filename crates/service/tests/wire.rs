@@ -372,7 +372,7 @@ fn tcp_round_trip() {
     let addr = listener.local_addr().unwrap();
     let session = Arc::new(Compiler::builder().workers(1).build());
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_tcp(listener, session);
+        let _ = qompress_service::serve(listener, session, Default::default());
     });
 
     let stream = TcpStream::connect(addr).unwrap();
@@ -411,7 +411,7 @@ fn unix_socket_round_trip() {
     };
     let session = Arc::new(Compiler::builder().workers(1).build());
     std::thread::spawn(move || {
-        let _ = qompress_service::serve_unix(listener, session);
+        let _ = qompress_service::serve(listener, session, Default::default());
     });
 
     let stream = UnixStream::connect(&path).unwrap();

@@ -18,8 +18,8 @@ use qompress::{BreakerState, Compiler, FaultKind, FaultOp, FaultPlan, Strategy};
 use qompress_arch::Topology;
 use qompress_qasm::to_qasm;
 use qompress_service::{
-    loopback, serve_duplex, serve_duplex_draining, DrainHandle, RetryPolicy, ServiceClient,
-    ServiceError, ServiceEvent, ServiceLimits,
+    loopback, serve_duplex, serve_duplex_with, DrainHandle, RetryPolicy, ServeOptions,
+    ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
 };
 use qompress_workloads::random_circuit;
 use std::collections::HashMap;
@@ -160,7 +160,17 @@ fn main() {
     let server = {
         let session = Arc::clone(&session);
         let drain = drain.clone();
-        std::thread::spawn(move || serve_duplex_draining(session, sr, sw, limits, drain))
+        std::thread::spawn(move || {
+            serve_duplex_with(
+                session,
+                sr,
+                sw,
+                ServeOptions {
+                    limits,
+                    drain: Some(drain),
+                },
+            )
+        })
     };
     let (reader, writer) = client_end.split();
     let mut client =

@@ -17,7 +17,8 @@
 use qompress::{Compiler, Strategy};
 use qompress_qasm::to_qasm;
 use qompress_service::{
-    loopback, serve_duplex_with_limits, ServiceClient, ServiceError, ServiceEvent, ServiceLimits,
+    loopback, serve_duplex_with, ServeOptions, ServiceClient, ServiceError, ServiceEvent,
+    ServiceLimits,
 };
 use qompress_workloads::{build, Benchmark};
 use std::collections::HashMap;
@@ -162,7 +163,15 @@ fn run_client(
     let (client_end, server_end) = loopback();
     let (server_reader, server_writer) = server_end.split();
     let server = std::thread::spawn(move || {
-        serve_duplex_with_limits(session, server_reader, server_writer, limits)
+        serve_duplex_with(
+            session,
+            server_reader,
+            server_writer,
+            ServeOptions {
+                limits,
+                ..Default::default()
+            },
+        )
     });
     let (reader, writer) = client_end.split();
     let mut client = ServiceClient::new(BufReader::new(reader), writer);

@@ -1,11 +1,21 @@
-//! Batch-engine determinism: `run_batch` must return byte-identical
-//! results for the same job list at any worker count, and must agree with
-//! compiling each job directly through the serial `compile` entry point.
+//! Batch-engine determinism: `Compiler::compile_batch` must return
+//! byte-identical results for the same job list at any worker count, and
+//! must agree with compiling each job directly through `Compiler::compile`.
+//! Every side of a comparison runs on its own session, so no result is
+//! compared with its own cache hit.
 
-use qompress::{run_batch, BatchJob, BatchRequest, BatchResult, Strategy, ALL_STRATEGIES};
+use qompress::{BatchJob, BatchResult, Compiler, Strategy, ALL_STRATEGIES};
 use qompress_arch::Topology;
 use qompress_circuit::Circuit;
 use qompress_workloads::{build, random_circuit, Benchmark};
+
+/// Compiles `jobs` as one batch on a fresh session with `workers` workers.
+fn compile_batch(jobs: &[BatchJob], workers: usize) -> BatchResult {
+    Compiler::builder()
+        .workers(workers)
+        .build()
+        .compile_batch(jobs)
+}
 
 /// A mixed job list: built-in benchmarks and QASM-generator circuits,
 /// several strategies, and two shared topologies (so the per-topology
@@ -67,9 +77,9 @@ fn render(result: &BatchResult) -> String {
 fn one_worker_and_many_workers_are_byte_identical() {
     let jobs = sweep_jobs();
     assert!(jobs.len() >= 8, "sweep must be at least 8 jobs");
-    let serial = run_batch(&BatchRequest::new(jobs.clone(), 1));
+    let serial = compile_batch(&jobs, 1);
     for workers in [2usize, 4, 8] {
-        let parallel = run_batch(&BatchRequest::new(jobs.clone(), workers));
+        let parallel = compile_batch(&jobs, workers);
         assert_eq!(
             render(&serial),
             render(&parallel),
@@ -81,11 +91,11 @@ fn one_worker_and_many_workers_are_byte_identical() {
 #[test]
 fn batch_agrees_with_serial_compile() {
     let jobs = sweep_jobs();
-    let out = run_batch(&BatchRequest::new(jobs.clone(), 4));
+    let out = compile_batch(&jobs, 4);
     assert_eq!(out.results.len(), jobs.len());
-    let cfg = qompress::CompilerConfig::paper();
+    let direct = Compiler::builder().caching(false).build();
     for (job, got) in jobs.iter().zip(&out.results) {
-        let want = qompress::compile(&job.circuit, &job.topology, job.strategy, &cfg);
+        let want = direct.compile(&job.circuit, &job.topology, job.strategy);
         assert_eq!(got.result.metrics, want.metrics, "{}", job.label);
         assert_eq!(
             format!("{:?}", got.result.schedule),
@@ -98,7 +108,7 @@ fn batch_agrees_with_serial_compile() {
 
 #[test]
 fn caches_are_shared_across_jobs_on_one_topology() {
-    let out = run_batch(&BatchRequest::new(sweep_jobs(), 4));
+    let out = compile_batch(&sweep_jobs(), 4);
     // grid-8 and line-8 only.
     assert_eq!(out.distinct_topologies, 2);
 }
@@ -111,7 +121,7 @@ fn every_strategy_runs_in_a_batch() {
         .into_iter()
         .map(|s| BatchJob::new(s.name(), c.clone(), s, topo.clone()))
         .collect();
-    let out = run_batch(&BatchRequest::new(jobs, 4));
+    let out = compile_batch(&jobs, 4);
     for r in &out.results {
         assert!(r.result.metrics.total_eps > 0.0, "{}", r.label);
         assert!(
@@ -131,6 +141,6 @@ fn empty_circuits_compile_in_batches() {
         Strategy::QubitOnly,
         Topology::grid(3),
     )];
-    let out = run_batch(&BatchRequest::new(jobs, 2));
+    let out = compile_batch(&jobs, 2);
     assert_eq!(out.results[0].result.logical_gates, 0);
 }

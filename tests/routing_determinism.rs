@@ -13,8 +13,8 @@
 //! candidate — shows up here as a diverging `Vec<PhysicalOp>`.
 
 use qompress::{
-    compile, gate_cost, map_circuit, route, swap_class, CompilerConfig, Layout, MappingOptions,
-    PhysicalOp,
+    gate_cost, map_circuit, route_cached, swap_class, Compiler, CompilerConfig, Layout,
+    MappingOptions, PhysicalOp, TopologyCache,
 };
 use qompress_arch::{ExpandedGraph, Slot, SlotIndex, Topology};
 use qompress_circuit::{graph::WGraph, Circuit, CircuitDag, Gate};
@@ -416,7 +416,8 @@ fn assert_routers_agree(circuit: &Circuit, topo: &Topology, options: &MappingOpt
     let base = map_circuit(circuit, topo, &config, options);
 
     let mut opt_layout = base.clone();
-    let optimized = route(circuit, &dag, &mut opt_layout, &expanded, &config);
+    let cache = TopologyCache::new(topo.clone(), &config);
+    let optimized = route_cached(circuit, &dag, &mut opt_layout, &cache, &config);
 
     let mut ref_layout = base.clone();
     let reference = ReferenceRouter::new(circuit, &dag, &mut ref_layout, &expanded, &config).run();
@@ -476,7 +477,7 @@ proptest! {
 /// on all of them.
 #[test]
 fn routers_agree_on_every_strategy_pair_set() {
-    let config = CompilerConfig::paper();
+    let session = Compiler::builder().caching(false).build();
     let circuit = {
         let mut c = Circuit::new(6);
         c.push(Gate::h(0));
@@ -495,7 +496,7 @@ fn routers_agree_on_every_strategy_pair_set() {
         Topology::heavy_hex(3),
     ] {
         for strategy in qompress::ALL_STRATEGIES {
-            let pairs = compile(&circuit, &topo, strategy, &config).pairs;
+            let pairs = session.compile(&circuit, &topo, strategy).pairs.clone();
             assert_routers_agree(
                 &circuit,
                 &topo,
