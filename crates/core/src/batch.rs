@@ -82,8 +82,11 @@ pub struct BatchResult {
     pub distinct_topologies: usize,
     /// Wall-clock time of the compilation phase.
     pub elapsed: Duration,
-    /// Result-cache activity attributable to this batch (all zeros when
-    /// the executing session has caching disabled).
+    /// Memory-tier result-cache activity attributable to this batch (all
+    /// zeros when the executing session has caching disabled). With a
+    /// persistent tier attached, some of these misses were served from
+    /// disk rather than compiled; see
+    /// [`crate::Compiler::tiered_cache_stats`].
     pub cache: CacheStats,
 }
 
@@ -138,8 +141,11 @@ pub struct TryBatchResult {
     pub distinct_topologies: usize,
     /// Wall-clock time of the compilation phase.
     pub elapsed: Duration,
-    /// Result-cache activity attributable to this batch (all zeros when
-    /// the executing session has caching disabled).
+    /// Memory-tier result-cache activity attributable to this batch (all
+    /// zeros when the executing session has caching disabled). With a
+    /// persistent tier attached, some of these misses were served from
+    /// disk rather than compiled; see
+    /// [`crate::Compiler::tiered_cache_stats`].
     pub cache: CacheStats,
 }
 

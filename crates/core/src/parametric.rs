@@ -25,7 +25,7 @@
 use crate::batch::BatchJob;
 use crate::physical::PhysicalOp;
 use crate::pipeline::CompilationResult;
-use crate::result_cache::CacheStats;
+use crate::result_cache::{CacheKey, CacheStats};
 use crate::strategies::Strategy;
 use qompress_arch::Topology;
 use qompress_circuit::{
@@ -242,24 +242,28 @@ impl SkeletonArtifact {
 /// skeleton the job came from, its angles, and the sweep-shared slot for
 /// the compiled artifact ([`OnceLock`], so concurrent workers do exactly
 /// one structural compile per sweep even before the session-level
-/// skeleton cache is warm).
+/// skeleton cache is warm). The slot records the skeleton [`CacheKey`]
+/// (strategy, topology and configuration) it was filled for; a job whose
+/// key differs resolves through the session's skeleton cache instead.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBinding {
     pub(crate) skeleton: Arc<ParametricCircuit>,
     pub(crate) angles: Vec<f64>,
-    pub(crate) artifact: Arc<OnceLock<Arc<SkeletonArtifact>>>,
+    pub(crate) artifact: Arc<OnceLock<(CacheKey, Arc<SkeletonArtifact>)>>,
 }
 
 /// A handle for fanning one skeleton out into per-binding service jobs.
 ///
 /// All jobs minted from one `ParamSweep` share an artifact slot: whichever
 /// worker claims the first job compiles the structure, every other job
-/// stamps. Independent `ParamSweep`s over the same structure still share
-/// work through the session's skeleton cache.
+/// with the same strategy, topology structure and session configuration
+/// stamps; a job that differs in any of them resolves its own artifact
+/// through the session's skeleton cache. Independent `ParamSweep`s over
+/// the same structure still share work through that cache.
 #[derive(Debug, Clone)]
 pub struct ParamSweep {
     skeleton: Arc<ParametricCircuit>,
-    artifact: Arc<OnceLock<Arc<SkeletonArtifact>>>,
+    artifact: Arc<OnceLock<(CacheKey, Arc<SkeletonArtifact>)>>,
 }
 
 impl ParamSweep {

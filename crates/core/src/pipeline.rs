@@ -41,6 +41,9 @@ const MAX_ENCODED_ORACLES: usize = 128;
 #[derive(Debug)]
 pub struct TopologyCache {
     expanded: Arc<ExpandedGraph>,
+    /// [`Topology::structural_fingerprint`] of the topology, the
+    /// topology component of every result-cache key compiled on it.
+    fingerprint: u64,
     /// The configuration the cache (and its lazy oracles) is bound to.
     config: CompilerConfig,
     bare_oracle: std::sync::OnceLock<Arc<DistanceOracle>>,
@@ -56,6 +59,7 @@ impl TopologyCache {
     /// Builds the shared structures for one topology under `config`.
     pub fn new(topo: Topology, config: &CompilerConfig) -> Self {
         TopologyCache {
+            fingerprint: topo.structural_fingerprint(),
             expanded: Arc::new(ExpandedGraph::new(topo)),
             config: config.clone(),
             bare_oracle: std::sync::OnceLock::new(),
@@ -67,6 +71,11 @@ impl TopologyCache {
     /// The topology's center unit, computed once per cache.
     pub fn center(&self) -> usize {
         *self.center.get_or_init(|| self.topology().center())
+    }
+
+    /// The structural fingerprint of the topology this cache was built for.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The physical topology this cache was built for.

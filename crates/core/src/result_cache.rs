@@ -20,20 +20,40 @@ use qompress_circuit::{
     Circuit, Gate, ParametricCircuit, ParametricGate, RotationAxis, SingleQubitKind,
 };
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-/// Hit/miss/eviction counters of a session's result cache (see
-/// [`crate::Compiler::cache_stats`]).
+/// Hit/miss/eviction counters of one in-memory cache tier: a session's
+/// result cache (see [`crate::Compiler::cache_stats`]) or its skeleton
+/// cache.
+///
+/// These count the memory tier only. With a persistent tier attached
+/// ([`crate::CompilerBuilder::persist_dir`]), a memory miss falls
+/// through to disk and may still be served without compiling; see
+/// [`crate::Compiler::tiered_cache_stats`] for the per-tier split and the
+/// count of true compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the memory tier.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Lookups the memory tier could not answer: compiled, or served from
+    /// the disk tier when one is attached.
     pub misses: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
 }
 
 impl CacheStats {
+    /// The activity between the snapshot `before` and `self`. Saturating:
+    /// a concurrent [`crate::Compiler::clear_cache`] between the two
+    /// snapshots resets the counters, which must not underflow the delta.
+    pub(crate) fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+            evictions: self.evictions.saturating_sub(before.evictions),
+        }
+    }
+
     /// Hit fraction over all lookups (0.0 when nothing was looked up).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -356,12 +376,18 @@ pub(crate) fn skeleton_fingerprint(skeleton: &ParametricCircuit) -> u64 {
 }
 
 /// A bounded LRU cache of compilation artifacts, content-addressed by
-/// [`CacheKey`].
+/// [`CacheKey`] — one memory tier of a session.
 ///
 /// Generic over the cached value `T` (cloned out on hits — in practice an
 /// `Arc`, so a hit is a reference-count bump): the session keeps one cache
 /// of concrete `CompilationResult`s and one of skeleton-level
 /// `SkeletonArtifact`s, with identical accounting.
+///
+/// The cache does its own locking, and every method holds the lock only
+/// for its own short critical section: callers never keep it across a
+/// compilation, which may re-enter the same cache (the exhaustive search
+/// compiles its candidates through the session). Capacity `0` means
+/// disabled: nothing is stored and lookups are not counted.
 ///
 /// Recency is a monotonic access counter; eviction removes the entry with
 /// the smallest counter via an `O(len)` scan — negligible next to the cost
@@ -369,6 +395,11 @@ pub(crate) fn skeleton_fingerprint(skeleton: &ParametricCircuit) -> u64 {
 #[derive(Debug)]
 pub(crate) struct ResultCache<T> {
     capacity: usize,
+    lru: Mutex<Lru<T>>,
+}
+
+#[derive(Debug)]
+struct Lru<T> {
     tick: u64,
     map: HashMap<CacheKey, Entry<T>>,
     stats: CacheStats,
@@ -381,28 +412,44 @@ struct Entry<T> {
 }
 
 impl<T: Clone> ResultCache<T> {
-    /// An empty cache holding at most `capacity` results (`0` stores
-    /// nothing and every lookup misses).
+    /// An empty cache holding at most `capacity` results (`0` disables
+    /// it: nothing is stored and lookups are not counted).
     pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
-            tick: 0,
-            map: HashMap::new(),
-            stats: CacheStats::default(),
+            lru: Mutex::new(Lru {
+                tick: 0,
+                map: HashMap::new(),
+                stats: CacheStats::default(),
+            }),
         }
     }
 
-    /// Looks up `key`, counting a hit or a miss.
-    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<T> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
+    /// Returns `true` unless the cache was built with capacity `0`.
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<T>> {
+        self.lru.lock().expect("result cache poisoned")
+    }
+
+    /// Looks up `key`, counting a hit or a miss (a disabled cache misses
+    /// without counting).
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<T> {
+        if !self.is_enabled() {
+            return None;
+        }
+        let lru = &mut *self.lock();
+        lru.tick += 1;
+        match lru.map.get_mut(key) {
             Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
+                entry.last_used = lru.tick;
+                lru.stats.hits += 1;
                 Some(entry.result.clone())
             }
             None => {
-                self.stats.misses += 1;
+                lru.stats.misses += 1;
                 None
             }
         }
@@ -411,46 +458,48 @@ impl<T: Clone> ResultCache<T> {
     /// Stores a freshly compiled result, evicting the least-recently-used
     /// entry if the cache is full. Overwriting an existing key (two racing
     /// workers compiling the same job) is not an eviction.
-    pub(crate) fn insert(&mut self, key: CacheKey, result: T) {
-        if self.capacity == 0 {
+    pub(crate) fn insert(&self, key: CacheKey, result: T) {
+        if !self.is_enabled() {
             return;
         }
-        self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(&lru) = self
+        let lru = &mut *self.lock();
+        lru.tick += 1;
+        if !lru.map.contains_key(&key) && lru.map.len() >= self.capacity {
+            if let Some(&oldest) = lru
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k)
             {
-                self.map.remove(&lru);
-                self.stats.evictions += 1;
+                lru.map.remove(&oldest);
+                lru.stats.evictions += 1;
             }
         }
-        self.map.insert(
+        lru.map.insert(
             key,
             Entry {
                 result,
-                last_used: self.tick,
+                last_used: lru.tick,
             },
         );
     }
 
     /// Current counters.
     pub(crate) fn stats(&self) -> CacheStats {
-        self.stats
+        self.lock().stats
     }
 
     /// Number of cached results.
     pub(crate) fn len(&self) -> usize {
-        self.map.len()
+        self.lock().map.len()
     }
 
     /// Drops every entry and resets the counters.
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.stats = CacheStats::default();
-        self.tick = 0;
+    pub(crate) fn clear(&self) {
+        let lru = &mut *self.lock();
+        lru.map.clear();
+        lru.stats = CacheStats::default();
+        lru.tick = 0;
     }
 }
 
@@ -482,7 +531,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_eviction_counting() {
-        let mut cache = ResultCache::new(2);
+        let cache = ResultCache::new(2);
         let r = dummy_result();
         assert!(cache.get(&key(1)).is_none());
         cache.insert(key(1), Arc::clone(&r));
@@ -513,7 +562,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_recency() {
-        let mut cache = ResultCache::new(2);
+        let cache = ResultCache::new(2);
         let r = dummy_result();
         cache.insert(key(1), Arc::clone(&r));
         cache.insert(key(2), Arc::clone(&r));
@@ -527,7 +576,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_stores_nothing() {
-        let mut cache = ResultCache::new(0);
+        let cache = ResultCache::new(0);
         cache.insert(key(1), dummy_result());
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&key(1)).is_none());
@@ -536,7 +585,7 @@ mod tests {
 
     #[test]
     fn overwrite_is_not_an_eviction() {
-        let mut cache = ResultCache::new(1);
+        let cache = ResultCache::new(1);
         let r = dummy_result();
         cache.insert(key(1), Arc::clone(&r));
         cache.insert(key(1), Arc::clone(&r));
@@ -546,7 +595,7 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let mut cache = ResultCache::new(4);
+        let cache = ResultCache::new(4);
         cache.insert(key(1), dummy_result());
         let _ = cache.get(&key(1));
         cache.clear();

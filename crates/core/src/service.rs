@@ -62,13 +62,13 @@ impl fmt::Display for ServiceMetrics {
 struct QueuedJob {
     id: JobId,
     job: BatchJob,
-    /// Pre-resolved `(structural fingerprint, topology cache)`, when the
-    /// submitter already computed them (the batch wrapper does): the
-    /// worker then neither re-hashes the topology nor consults the
-    /// registry, so even a batch spanning more distinct topologies than
-    /// the registry holds never rebuilds a cache inside the timed
-    /// compile phase.
-    tcache: Option<(u64, Arc<TopologyCache>)>,
+    /// The job's topology cache, when the submitter already resolved it
+    /// (the batch wrapper does): the worker then neither re-hashes the
+    /// topology nor consults the registry, so even a batch spanning more
+    /// distinct topologies than the registry holds never rebuilds a cache
+    /// inside the timed compile phase. `None` resolves through the
+    /// session's registry on the worker.
+    tcache: Option<Arc<TopologyCache>>,
     state: Arc<JobState>,
 }
 
@@ -143,7 +143,7 @@ impl JobService {
         &self,
         session: &Arc<SessionState>,
         job: BatchJob,
-        tcache: Option<(u64, Arc<TopologyCache>)>,
+        tcache: Option<Arc<TopologyCache>>,
         watcher: Option<CompletionQueue>,
     ) -> JobHandle {
         let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
@@ -314,8 +314,11 @@ fn worker_loop(session: Arc<SessionState>, inner: Arc<ServiceInner>) {
         // (`memoized` compiles outside the cache lock), so no lock is
         // poisoned by an unwinding compilation.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let resolved = rec.tcache.as_ref().map(|(fp, tc)| (*fp, tc.as_ref()));
-            session.compile_queued_job(&rec.job, resolved)
+            let tcache = rec
+                .tcache
+                .clone()
+                .unwrap_or_else(|| session.topology_cache(&rec.job.topology));
+            session.compile_queued_job(&rec.job, &tcache)
         }));
         match outcome {
             Ok(result) => {

@@ -8,11 +8,17 @@
 //!   [`TopologyCache`] construction (expanded slot graph, distance
 //!   oracles) across every call on the session — not just within one
 //!   batch;
-//! * a **content-addressed LRU result cache** keyed by `(circuit hash,
-//!   job kind, topology fingerprint, config fingerprint)` with exact
-//!   [`CacheStats`]; a hit is byte-identical to a fresh compile because
-//!   the pipeline is deterministic in exactly those inputs (pinned by the
-//!   session test-suite, and checkable per-hit via
+//! * **content-addressed cache tiers** keyed by `(circuit hash, job
+//!   kind, topology fingerprint, config fingerprint)`: an in-memory LRU
+//!   of compiled results with exact [`CacheStats`], an optional on-disk
+//!   tier behind it ([`CompilerBuilder::persist_dir`]; per-tier counters
+//!   in [`Compiler::tiered_cache_stats`]), and a memory-only skeleton
+//!   cache for parameter sweeps ([`Compiler::compile_skeleton`]). All
+//!   three are served by one lookup path — memory, then disk when
+//!   attached, then compile — so a memory-tier miss is not necessarily a
+//!   compile. A hit is byte-identical to a fresh compile because the
+//!   pipeline is deterministic in exactly those inputs (pinned by the
+//!   session test-suite, and checkable per-hit in every tier via
 //!   [`CompilerBuilder::verify_hits`]);
 //! * a **persistent worker pool** behind an MPMC job queue — the job
 //!   service. [`Compiler::submit`] enqueues one job and returns a
@@ -49,7 +55,7 @@
 use crate::batch::{
     BatchJob, BatchJobError, BatchJobFailure, BatchJobResult, BatchResult, TryBatchResult,
 };
-use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::config::CompilerConfig;
 use crate::jobs::{CompletionQueue, JobHandle, JobOutcome};
 use crate::mapping::MappingOptions;
@@ -62,7 +68,8 @@ use crate::strategies::{self, run_exhaustive, ExhaustiveOptions, ExhaustiveStep,
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, ParametricCircuit};
 use qompress_store::{DiskStore, FaultPlan, LoadOutcome};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -235,10 +242,7 @@ impl CompilerBuilder {
         } else {
             self.workers
         };
-        let cache = (self.caching && self.cache_capacity > 0)
-            .then(|| Mutex::new(ResultCache::new(self.cache_capacity)));
-        let skeletons = (self.caching && self.cache_capacity > 0)
-            .then(|| Mutex::new(ResultCache::new(self.cache_capacity)));
+        let capacity = if self.caching { self.cache_capacity } else { 0 };
         // The persistent tier is independent of the in-memory switch: a
         // `caching(false)` session with a `persist_dir` still serves and
         // feeds the shared on-disk store.
@@ -280,8 +284,8 @@ impl CompilerBuilder {
                 workers,
                 verify_hits: self.verify_hits,
                 topologies: Mutex::new(TopologyRegistry::default()),
-                cache,
-                skeletons,
+                cache: ResultCache::new(capacity),
+                skeletons: ResultCache::new(capacity),
                 persist,
                 diagnostics,
             }),
@@ -335,6 +339,104 @@ struct DiskTier {
     skipped: AtomicU64,
 }
 
+impl DiskTier {
+    /// The tier's counters, with the memory-tier fields left zero.
+    fn stats(&self) -> TieredCacheStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        TieredCacheStats {
+            disk_hits: load(&self.hits),
+            misses: load(&self.misses),
+            disk_writes: load(&self.writes),
+            disk_rejects: load(&self.rejects),
+            disk_write_errors: load(&self.write_errors),
+            disk_read_errors: load(&self.read_errors),
+            disk_skipped: load(&self.skipped),
+            breaker_trips: self.breaker.trips(),
+            breaker_probes: self.breaker.probes(),
+            breaker_state: self.breaker.state(),
+            ..TieredCacheStats::default()
+        }
+    }
+}
+
+/// A persistent tier behind a memory tier, holding values of type `T`.
+/// Neither operation fails: every disk problem degrades to a miss or a
+/// skipped write, accounted in the tier's own counters.
+trait BackingTier<T> {
+    /// The value stored under `key`, or `None` on any kind of miss.
+    fn load(&self, key: &CacheKey) -> Option<T>;
+    /// Writes `value` back under `key`, best-effort.
+    fn store(&self, key: &CacheKey, value: &T);
+}
+
+impl BackingTier<Arc<CompilationResult>> for DiskTier {
+    /// Gated by the circuit breaker: while it is open the disk is not
+    /// touched and the lookup is a plain miss. A payload that passes the
+    /// store's envelope check but fails the codec is still a reject
+    /// (version-skewed or damaged payload), removed so it stops costing a
+    /// read. Only real I/O errors feed the breaker; misses and rejects
+    /// are healthy-disk outcomes.
+    fn load(&self, key: &CacheKey) -> Option<Arc<CompilationResult>> {
+        if !self.breaker.try_acquire() {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let hex = key.hex();
+        let outcome = self.store.load(&hex);
+        if matches!(outcome, LoadOutcome::Failed(_)) {
+            self.breaker.record_failure();
+            self.read_errors.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.breaker.record_success();
+        }
+        match outcome {
+            LoadOutcome::Payload(payload) => match persist::decode_result(&payload) {
+                Some(result) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(Arc::new(result));
+                }
+                None => {
+                    self.rejects.fetch_add(1, Ordering::Relaxed);
+                    let _ = self.store.remove(&hex);
+                }
+            },
+            LoadOutcome::Rejected => {
+                self.rejects.fetch_add(1, Ordering::Relaxed);
+            }
+            LoadOutcome::Absent | LoadOutcome::Failed(_) => {}
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Gated by the circuit breaker like [`BackingTier::load`]: a breaker
+    /// tripped since the lookup skips the write too.
+    fn store(&self, key: &CacheKey, result: &Arc<CompilationResult>) {
+        if !self.breaker.try_acquire() {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        match self
+            .store
+            .store(&key.hex(), &persist::encode_result(result))
+        {
+            Ok(written) => {
+                self.breaker.record_success();
+                // `false` means oversized for the cap: simply not
+                // persisted — a policy outcome on a healthy disk.
+                if written {
+                    self.writes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(_) => {
+                self.breaker.record_failure();
+                self.write_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// The shared heart of a session: configuration plus every cross-request
 /// cache. Worker threads of the job service hold an `Arc` of this (never
 /// of the [`Compiler`] itself, which owns the pool and must be able to
@@ -346,14 +448,15 @@ pub(crate) struct SessionState {
     pub(crate) workers: usize,
     verify_hits: bool,
     topologies: Mutex<TopologyRegistry>,
-    cache: Option<Mutex<ResultCache<Arc<CompilationResult>>>>,
+    /// Compiled results, the memory tier (capacity 0 when caching is off).
+    cache: ResultCache<Arc<CompilationResult>>,
     /// Compiled skeleton artifacts, keyed by the skeleton's *structural*
     /// fingerprint (parameter wiring, not values) — shares the concrete
     /// cache's capacity knob and on/off switch.
-    skeletons: Option<Mutex<ResultCache<Arc<SkeletonArtifact>>>>,
-    /// The on-disk tier behind the in-memory cache (tier 2). Concrete
-    /// results only: skeleton artifacts hold closure-derived state that
-    /// is cheap to rebuild relative to their reuse pattern, so they stay
+    skeletons: ResultCache<Arc<SkeletonArtifact>>,
+    /// The on-disk tier behind the memory tier. Concrete results only:
+    /// skeleton artifacts hold closure-derived state that is cheap to
+    /// rebuild relative to their reuse pattern, so they stay
     /// memory-resident.
     persist: Option<DiskTier>,
     /// Build-time warnings (e.g. a persist dir that could not be opened
@@ -363,82 +466,11 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
-    /// Compiles `circuit` onto `topo` with `strategy`, serving repeats
-    /// from the result cache.
-    pub(crate) fn compile(
-        &self,
-        circuit: &Circuit,
-        topo: &Topology,
-        strategy: Strategy,
-    ) -> Arc<CompilationResult> {
+    /// The shared [`TopologyCache`] for `topo` — the one place a job's
+    /// topology is resolved: fingerprint it, look it up in the registry,
+    /// build it on first use.
+    pub(crate) fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
         let topo_fp = topo.structural_fingerprint();
-        let tcache = self.topology_cache_by_fp(topo_fp, topo);
-        let key = CacheKey::for_strategy(circuit, strategy, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(strategies::compile(self, circuit, &tcache, strategy))
-        })
-    }
-
-    /// One whole service/batch job, memoized in the result cache. When
-    /// the submitter pre-resolved the job's topology fingerprint and
-    /// [`TopologyCache`] (the batch wrapper does), both are used directly
-    /// — no per-job re-hash of the topology, and immunity to registry
-    /// eviction, so a batch spanning more distinct topologies than the
-    /// registry bound never rebuilds precomputation mid-flight; otherwise
-    /// the cache is looked up (or built) through the registry.
-    pub(crate) fn compile_queued_job(
-        &self,
-        job: &BatchJob,
-        resolved: Option<(u64, &TopologyCache)>,
-    ) -> Arc<CompilationResult> {
-        if let Some(binding) = &job.binding {
-            // A sweep job: resolve the skeleton artifact (sweep-shared
-            // `OnceLock` first, then the session's skeleton cache) and
-            // stamp this job's angles into it — no pipeline run.
-            let held;
-            let (topo_fp, tcache): (u64, &TopologyCache) = match resolved {
-                Some((fp, t)) => (fp, t),
-                None => {
-                    let fp = job.topology.structural_fingerprint();
-                    held = self.topology_cache_by_fp(fp, &job.topology);
-                    (fp, &held)
-                }
-            };
-            let artifact = binding.artifact.get_or_init(|| {
-                self.skeleton_artifact(&binding.skeleton, tcache, topo_fp, job.strategy)
-            });
-            return Arc::new(artifact.stamp(&binding.angles));
-        }
-        let Some((topo_fp, tcache)) = resolved else {
-            return self.compile(&job.circuit, &job.topology, job.strategy);
-        };
-        let key = CacheKey::for_strategy(&job.circuit, job.strategy, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(strategies::compile(
-                self,
-                &job.circuit,
-                tcache,
-                job.strategy,
-            ))
-        })
-    }
-
-    /// Options-level session compile (see [`Compiler::compile_with_options`]).
-    pub(crate) fn compile_with_options(
-        &self,
-        circuit: &Circuit,
-        topo: &Topology,
-        options: &MappingOptions,
-    ) -> Arc<CompilationResult> {
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.topology_cache_by_fp(topo_fp, topo);
-        let key = CacheKey::for_options(circuit, options, topo_fp, self.config_fp);
-        self.memoized(key, || {
-            Arc::new(pipeline::compile(circuit, &tcache, &self.config, options))
-        })
-    }
-
-    pub(crate) fn topology_cache_by_fp(&self, topo_fp: u64, topo: &Topology) -> Arc<TopologyCache> {
         let mut registry = self.topologies.lock().expect("topology registry poisoned");
         if let Some(cache) = registry.map.get(&topo_fp) {
             return Arc::clone(cache);
@@ -454,247 +486,154 @@ impl SessionState {
         cache
     }
 
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map(|c| c.lock().expect("result cache poisoned").stats())
-            .unwrap_or_default()
+    /// Compiles `circuit` onto `tcache`'s topology with `strategy`,
+    /// serving repeats from the result tiers.
+    pub(crate) fn compile(
+        &self,
+        circuit: &Circuit,
+        tcache: &TopologyCache,
+        strategy: Strategy,
+    ) -> Arc<CompilationResult> {
+        let key = CacheKey::for_strategy(circuit, strategy, tcache.fingerprint(), self.config_fp);
+        self.memoized_result(key, || strategies::compile(self, circuit, tcache, strategy))
     }
 
-    pub(crate) fn skeleton_cache_stats(&self) -> CacheStats {
-        self.skeletons
-            .as_ref()
-            .map(|c| c.lock().expect("skeleton cache poisoned").stats())
-            .unwrap_or_default()
+    /// Options-level session compile (see [`Compiler::compile_with_options`]).
+    pub(crate) fn compile_with_options(
+        &self,
+        circuit: &Circuit,
+        tcache: &TopologyCache,
+        options: &MappingOptions,
+    ) -> Arc<CompilationResult> {
+        let key = CacheKey::for_options(circuit, options, tcache.fingerprint(), self.config_fp);
+        self.memoized_result(key, || {
+            pipeline::compile(circuit, tcache, &self.config, options)
+        })
+    }
+
+    /// One whole service/batch job on its resolved topology. A sweep job
+    /// (minted by [`crate::ParamSweep::job`]) stamps its angles into the
+    /// skeleton artifact instead of running the pipeline: the
+    /// sweep-shared slot serves it when the slot was filled for this
+    /// job's skeleton key (strategy, topology and configuration), the
+    /// session's skeleton tier otherwise.
+    pub(crate) fn compile_queued_job(
+        &self,
+        job: &BatchJob,
+        tcache: &TopologyCache,
+    ) -> Arc<CompilationResult> {
+        let Some(binding) = &job.binding else {
+            return self.compile(&job.circuit, tcache, job.strategy);
+        };
+        let key = CacheKey::for_skeleton(
+            &binding.skeleton,
+            job.strategy,
+            tcache.fingerprint(),
+            self.config_fp,
+        );
+        let resolve = || self.skeleton_artifact(&binding.skeleton, tcache, job.strategy);
+        let (filled_for, shared) = binding.artifact.get_or_init(|| (key, resolve()));
+        let artifact = if *filled_for == key {
+            Arc::clone(shared)
+        } else {
+            resolve()
+        };
+        Arc::new(artifact.stamp(&binding.angles))
     }
 
     /// The compiled artifact for `skeleton` under `strategy`, serving
     /// repeats of the same parameter *structure* from the skeleton cache.
     /// A miss runs the full pipeline once on the sentinel probe (see
     /// [`crate::parametric`]).
-    pub(crate) fn skeleton_artifact(
+    fn skeleton_artifact(
         &self,
         skeleton: &ParametricCircuit,
         tcache: &TopologyCache,
-        topo_fp: u64,
         strategy: Strategy,
     ) -> Arc<SkeletonArtifact> {
-        let key = CacheKey::for_skeleton(skeleton, strategy, topo_fp, self.config_fp);
-        memoized_in(self.skeletons.as_ref(), self.verify_hits, key, || {
+        let key = CacheKey::for_skeleton(skeleton, strategy, tcache.fingerprint(), self.config_fp);
+        self.memoized(&self.skeletons, "skeleton", None, key, || {
             Arc::new(SkeletonArtifact::build(skeleton, |probe| {
                 strategies::compile(self, probe, tcache, strategy)
             }))
         })
     }
 
-    /// Serves `key` through the cache tiers — memory, then disk, then
-    /// compiling via `fresh` — writing a fresh result back to both tiers
-    /// and promoting a disk hit into memory. No lock is held across disk
-    /// I/O or compilation, so parallel workers never serialize on either;
-    /// two workers racing on one key both compile and the (identical)
-    /// write-backs overwrite harmlessly. With `verify_hits`, disk hits
-    /// are audited against a fresh recompile exactly like memory hits.
-    fn memoized(
+    /// Serves a concrete result through the memory tier and, when
+    /// attached, the disk tier.
+    fn memoized_result(
         &self,
         key: CacheKey,
-        fresh: impl FnOnce() -> Arc<CompilationResult>,
+        fresh: impl FnOnce() -> CompilationResult,
     ) -> Arc<CompilationResult> {
-        let Some(tier) = &self.persist else {
-            return memoized_in(self.cache.as_ref(), self.verify_hits, key, fresh);
-        };
-        // Tier 1: memory. (See `memoized_in` for why the lookup drops the
-        // guard before any recompilation.)
-        if let Some(cache) = self.cache.as_ref() {
-            let looked_up = cache.lock().expect("result cache poisoned").get(&key);
-            if let Some(hit) = looked_up {
-                if self.verify_hits {
-                    verify_hit(&hit, fresh, "memory");
-                }
-                return hit;
-            }
+        let disk = self
+            .persist
+            .as_ref()
+            .map(|tier| tier as &dyn BackingTier<_>);
+        self.memoized(&self.cache, "memory", disk, key, || Arc::new(fresh()))
+    }
+
+    /// Serves `key` through the cache tiers — `memory`, then `disk` when
+    /// given, then building via `fresh` — the one lookup path for results
+    /// and skeletons. A disk hit is promoted into memory; a fresh build is
+    /// written back to both tiers. No lock is held across disk I/O or
+    /// `fresh`, so parallel workers never serialize on either and `fresh`
+    /// may re-enter the session (the exhaustive search compiles its
+    /// candidates through it); two workers racing on one key both build
+    /// and the identical write-backs overwrite harmlessly. Every hit
+    /// passes [`SessionState::verify_hit`].
+    fn memoized<T: Clone + Debug>(
+        &self,
+        memory: &ResultCache<T>,
+        memory_tier: &str,
+        disk: Option<&dyn BackingTier<T>>,
+        key: CacheKey,
+        fresh: impl FnOnce() -> T,
+    ) -> T {
+        if let Some(hit) = memory.get(&key) {
+            self.verify_hit(&hit, fresh, memory_tier);
+            return hit;
         }
-        // Tier 2: disk, gated by the circuit breaker — while the tier is
-        // open every disk touch is skipped and the lookup is a plain
-        // miss. A payload that passes the store's envelope check but
-        // fails the codec is still a reject (version-skewed or damaged
-        // payload) — removed so it stops costing a read. Only real I/O
-        // errors feed the breaker; misses and rejects are healthy-disk
-        // outcomes.
-        let hex = key.hex();
-        if tier.breaker.try_acquire() {
-            match tier.store.load(&hex) {
-                LoadOutcome::Payload(payload) => match persist::decode_result(&payload) {
-                    Some(result) => {
-                        tier.breaker.record_success();
-                        tier.hits.fetch_add(1, Ordering::Relaxed);
-                        let result = Arc::new(result);
-                        if self.verify_hits {
-                            verify_hit(&result, fresh, "disk");
-                            // `fresh` is consumed by the audit; the verified
-                            // hit is promoted and served like the normal path.
-                            self.promote(key, &result);
-                            return result;
-                        }
-                        self.promote(key, &result);
-                        return result;
-                    }
-                    None => {
-                        tier.breaker.record_success();
-                        tier.rejects.fetch_add(1, Ordering::Relaxed);
-                        tier.misses.fetch_add(1, Ordering::Relaxed);
-                        let _ = tier.store.remove(&hex);
-                    }
-                },
-                LoadOutcome::Rejected => {
-                    tier.breaker.record_success();
-                    tier.rejects.fetch_add(1, Ordering::Relaxed);
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                LoadOutcome::Absent => {
-                    tier.breaker.record_success();
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                LoadOutcome::Failed(_) => {
-                    tier.breaker.record_failure();
-                    tier.read_errors.fetch_add(1, Ordering::Relaxed);
-                    tier.misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            tier.skipped.fetch_add(1, Ordering::Relaxed);
-            tier.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = disk.and_then(|tier| tier.load(&key)) {
+            self.verify_hit(&hit, fresh, "disk");
+            memory.insert(key, hit.clone());
+            return hit;
         }
-        // Both tiers missed: compile, then write back to both (the disk
-        // write-back again asks the breaker first — tripped mid-lookup
-        // means the write is skipped too).
         let result = fresh();
-        self.promote(key, &result);
-        if tier.breaker.try_acquire() {
-            match tier.store.store(&hex, &persist::encode_result(&result)) {
-                Ok(true) => {
-                    tier.breaker.record_success();
-                    tier.writes.fetch_add(1, Ordering::Relaxed);
-                }
-                // Oversized for the cap: simply not persisted — a policy
-                // outcome on a healthy disk, not a failure.
-                Ok(false) => {
-                    tier.breaker.record_success();
-                }
-                Err(_) => {
-                    tier.breaker.record_failure();
-                    tier.write_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            tier.skipped.fetch_add(1, Ordering::Relaxed);
+        memory.insert(key, result.clone());
+        if let Some(tier) = disk {
+            tier.store(&key, &result);
         }
         result
     }
 
-    /// Inserts a result into the in-memory tier (a no-op with caching
-    /// off). Promotions and write-backs share this path; neither counts
-    /// as a lookup in [`CacheStats`].
-    fn promote(&self, key: CacheKey, result: &Arc<CompilationResult>) {
-        if let Some(cache) = self.cache.as_ref() {
-            cache
-                .lock()
-                .expect("result cache poisoned")
-                .insert(key, Arc::clone(result));
+    /// The `verify_hits` audit, shared by every tier: with it enabled,
+    /// rebuilds through `fresh` and asserts the served hit
+    /// `Debug`-identical to the rebuild.
+    fn verify_hit<T: Debug>(&self, hit: &T, fresh: impl FnOnce() -> T, tier: &str) {
+        if !self.verify_hits {
+            return;
         }
+        let rebuilt = fresh();
+        assert_eq!(
+            format!("{hit:?}"),
+            format!("{rebuilt:?}"),
+            "{tier}-tier cache hit diverged from a fresh compile — \
+             content fingerprint collision, codec defect or nondeterministic pipeline"
+        );
     }
 
     pub(crate) fn tiered_cache_stats(&self) -> TieredCacheStats {
-        let memory = self.cache_stats();
-        match &self.persist {
-            Some(tier) => TieredCacheStats {
-                memory_hits: memory.hits,
-                disk_hits: tier.hits.load(Ordering::Relaxed),
-                misses: tier.misses.load(Ordering::Relaxed),
-                memory_evictions: memory.evictions,
-                disk_writes: tier.writes.load(Ordering::Relaxed),
-                disk_rejects: tier.rejects.load(Ordering::Relaxed),
-                disk_write_errors: tier.write_errors.load(Ordering::Relaxed),
-                disk_read_errors: tier.read_errors.load(Ordering::Relaxed),
-                disk_skipped: tier.skipped.load(Ordering::Relaxed),
-                breaker_trips: tier.breaker.trips(),
-                breaker_probes: tier.breaker.probes(),
-                breaker_state: tier.breaker.state(),
-            },
-            // Without a persistent tier the flat stats are the whole
-            // story: misses are the memory tier's misses.
-            None => TieredCacheStats {
-                memory_hits: memory.hits,
-                disk_hits: 0,
-                misses: memory.misses,
-                memory_evictions: memory.evictions,
-                disk_writes: 0,
-                disk_rejects: 0,
-                disk_write_errors: 0,
-                disk_read_errors: 0,
-                disk_skipped: 0,
-                breaker_trips: 0,
-                breaker_probes: 0,
-                breaker_state: BreakerState::Closed,
-            },
+        let memory = self.cache.stats();
+        let disk = self.persist.as_ref().map(DiskTier::stats);
+        TieredCacheStats {
+            memory_hits: memory.hits,
+            memory_evictions: memory.evictions,
+            // Without a persistent tier the memory misses are the compiles.
+            misses: disk.map_or(memory.misses, |disk| disk.misses),
+            ..disk.unwrap_or_default()
         }
     }
-}
-
-/// The `verify_hits` audit: recompiles through `fresh` and asserts the
-/// served hit `Debug`-identical to the rebuild.
-fn verify_hit(
-    hit: &Arc<CompilationResult>,
-    fresh: impl FnOnce() -> Arc<CompilationResult>,
-    tier: &str,
-) {
-    let rebuilt = fresh();
-    assert_eq!(
-        format!("{hit:?}"),
-        format!("{rebuilt:?}"),
-        "{tier}-tier cache hit diverged from a fresh compile — \
-         content fingerprint collision, codec defect or nondeterministic pipeline"
-    );
-}
-
-/// Serves `key` from `cache` or builds via `fresh`, inserting the result.
-/// The cache lock is *not* held while building, so parallel batch workers
-/// never serialize on the pipeline; two workers racing on the same key
-/// both build and the (identical) results overwrite harmlessly. With
-/// `verify_hits`, every hit is rebuilt and `Debug`-compared before being
-/// served.
-fn memoized_in<T: Clone + std::fmt::Debug>(
-    cache: Option<&Mutex<ResultCache<T>>>,
-    verify_hits: bool,
-    key: CacheKey,
-    fresh: impl FnOnce() -> T,
-) -> T {
-    let Some(cache) = cache else {
-        return fresh();
-    };
-    // Bind the lookup to a statement of its own so the MutexGuard drops
-    // *before* any recompilation: `fresh` may re-enter this cache on the
-    // same thread (the exhaustive search compiles its candidates through
-    // the session), and an `if let` scrutinee would keep the lock alive
-    // across the whole branch.
-    let looked_up = cache.lock().expect("result cache poisoned").get(&key);
-    if let Some(hit) = looked_up {
-        if verify_hits {
-            let rebuilt = fresh();
-            assert_eq!(
-                format!("{hit:?}"),
-                format!("{rebuilt:?}"),
-                "result-cache hit diverged from a fresh compile — \
-                 content fingerprint collision or nondeterministic pipeline"
-            );
-        }
-        return hit;
-    }
-    let result = fresh();
-    cache
-        .lock()
-        .expect("result cache poisoned")
-        .insert(key, result.clone());
-    result
 }
 
 /// A compilation session owning shared state across compilations: the
@@ -751,7 +690,8 @@ impl Compiler {
         topo: &Topology,
         strategy: Strategy,
     ) -> Arc<CompilationResult> {
-        self.state.compile(circuit, topo, strategy)
+        self.state
+            .compile(circuit, &self.state.topology_cache(topo), strategy)
     }
 
     /// Runs the exhaustive-compression search (§5.1) through this session:
@@ -766,7 +706,12 @@ impl Compiler {
         topo: &Topology,
         options: &ExhaustiveOptions,
     ) -> (Arc<CompilationResult>, Vec<ExhaustiveStep>) {
-        run_exhaustive(&self.state, circuit, topo, options)
+        run_exhaustive(
+            &self.state,
+            circuit,
+            &self.state.topology_cache(topo),
+            options,
+        )
     }
 
     /// Compiles `circuit` onto `topo` with explicit [`MappingOptions`]
@@ -778,7 +723,8 @@ impl Compiler {
         topo: &Topology,
         options: &MappingOptions,
     ) -> Arc<CompilationResult> {
-        self.state.compile_with_options(circuit, topo, options)
+        self.state
+            .compile_with_options(circuit, &self.state.topology_cache(topo), options)
     }
 
     /// Compiles the angle-independent structure of `skeleton` once —
@@ -794,10 +740,8 @@ impl Compiler {
         topo: &Topology,
         strategy: Strategy,
     ) -> Arc<SkeletonArtifact> {
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.state.topology_cache_by_fp(topo_fp, topo);
-        self.state
-            .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
+        let tcache = self.state.topology_cache(topo);
+        self.state.skeleton_artifact(skeleton, &tcache, strategy)
     }
 
     /// Compiles one skeleton against `bindings.len()` angle sets: one
@@ -818,10 +762,10 @@ impl Compiler {
         strategy: Strategy,
         bindings: &[Vec<f64>],
     ) -> SweepResult {
-        let stats_before = self.state.skeleton_cache_stats();
+        let before = self.state.skeletons.stats();
         let started = Instant::now();
-        let topo_fp = topo.structural_fingerprint();
-        let tcache = self.state.topology_cache_by_fp(topo_fp, topo);
+        let tcache = self.state.topology_cache(topo);
+        let artifact = || self.state.skeleton_artifact(skeleton, &tcache, strategy);
         // With the skeleton cache off there is nothing to pin stats
         // against, so hoist one artifact for the whole sweep instead of
         // recompiling the structure per binding.
@@ -829,37 +773,25 @@ impl Compiler {
         let results: Vec<Arc<CompilationResult>> = bindings
             .iter()
             .map(|angles| {
-                let artifact = if self.state.skeletons.is_some() {
-                    self.state
-                        .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
+                let artifact = if self.state.skeletons.is_enabled() {
+                    artifact()
                 } else {
-                    Arc::clone(hoisted.get_or_insert_with(|| {
-                        self.state
-                            .skeleton_artifact(skeleton, &tcache, topo_fp, strategy)
-                    }))
+                    Arc::clone(hoisted.get_or_insert_with(artifact))
                 };
                 Arc::new(artifact.stamp(angles))
             })
             .collect();
-        let elapsed = started.elapsed();
-        let after = self.state.skeleton_cache_stats();
         SweepResult {
             results,
-            // Saturating for the same reason as `compile_batch`: a
-            // concurrent counter reset must not underflow the delta.
-            skeleton_cache: CacheStats {
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                evictions: after.evictions.saturating_sub(stats_before.evictions),
-            },
-            elapsed,
+            elapsed: started.elapsed(),
+            skeleton_cache: self.state.skeletons.stats().since(&before),
         }
     }
 
     /// Cumulative skeleton-cache counters (all zeros when caching is
     /// disabled).
     pub fn skeleton_cache_stats(&self) -> CacheStats {
-        self.state.skeleton_cache_stats()
+        self.state.skeletons.stats()
     }
 
     /// Enqueues one job on the session's persistent worker pool and
@@ -966,7 +898,7 @@ impl Compiler {
     /// [`Compiler::compile_batch`] is a thin wrapper over this method
     /// that panics on the first failure with the historical message.
     pub fn try_compile_batch(&self, jobs: &[BatchJob]) -> TryBatchResult {
-        let stats_before = self.state.cache_stats();
+        let before = self.state.cache.stats();
         // Resolve every job's topology cache up front (deduplicated by
         // structural fingerprint) so the expensive expanded-graph
         // construction happens once, outside the timed window, exactly as
@@ -974,31 +906,23 @@ impl Compiler {
         // with the queued job, so even a batch spanning more distinct
         // topologies than the registry bound never rebuilds one
         // mid-flight.
-        let per_job: Vec<(u64, Arc<TopologyCache>)> = jobs
+        let tcaches: Vec<Arc<TopologyCache>> = jobs
             .iter()
-            .map(|job| {
-                let fp = job.topology.structural_fingerprint();
-                (fp, self.state.topology_cache_by_fp(fp, &job.topology))
-            })
+            .map(|job| self.state.topology_cache(&job.topology))
             .collect();
-        let distinct_topologies = {
-            let mut fps: Vec<u64> = per_job.iter().map(|(fp, _)| *fp).collect();
-            fps.sort_unstable();
-            fps.dedup();
-            fps.len()
-        };
+        let distinct_topologies = tcaches
+            .iter()
+            .map(|t| t.fingerprint())
+            .collect::<HashSet<u64>>()
+            .len();
 
         let started = Instant::now();
         let handles: Vec<JobHandle> = jobs
             .iter()
-            .zip(&per_job)
-            .map(|(job, (fp, tcache))| {
-                self.service.submit(
-                    &self.state,
-                    job.clone(),
-                    Some((*fp, Arc::clone(tcache))),
-                    None,
-                )
+            .zip(&tcaches)
+            .map(|(job, tcache)| {
+                self.service
+                    .submit(&self.state, job.clone(), Some(Arc::clone(tcache)), None)
             })
             .collect();
         let results: Vec<Result<BatchJobResult, BatchJobFailure>> = handles
@@ -1024,19 +948,11 @@ impl Compiler {
             .collect();
         let elapsed = started.elapsed();
 
-        let after = self.state.cache_stats();
         TryBatchResult {
             results,
             distinct_topologies,
             elapsed,
-            // Saturating: a concurrent `clear_cache` between the two
-            // snapshots resets the counters, which would otherwise
-            // underflow the delta.
-            cache: CacheStats {
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                evictions: after.evictions.saturating_sub(stats_before.evictions),
-            },
+            cache: self.state.cache.stats().since(&before),
         }
     }
 
@@ -1047,8 +963,7 @@ impl Compiler {
     /// structures; beyond that the oldest registration is dropped (in-use
     /// `Arc`s stay valid).
     pub fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
-        self.state
-            .topology_cache_by_fp(topo.structural_fingerprint(), topo)
+        self.state.topology_cache(topo)
     }
 
     /// Number of distinct topology structures registered so far.
@@ -1081,9 +996,11 @@ impl Compiler {
         total
     }
 
-    /// Cumulative cache counters (all zeros when caching is disabled).
+    /// Cumulative memory-tier counters of the result cache (all zeros
+    /// when caching is disabled). With a disk tier attached, a miss here
+    /// may still be a disk hit; see [`Compiler::tiered_cache_stats`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.state.cache_stats()
+        self.state.cache.stats()
     }
 
     /// Cumulative counters split by cache tier (memory / disk /
@@ -1109,16 +1026,12 @@ impl Compiler {
 
     /// Number of results currently held by the cache.
     pub fn cached_results(&self) -> usize {
-        self.state
-            .cache
-            .as_ref()
-            .map(|c| c.lock().expect("result cache poisoned").len())
-            .unwrap_or(0)
+        self.state.cache.len()
     }
 
     /// Returns `true` when the session memoizes results.
     pub fn caching_enabled(&self) -> bool {
-        self.state.cache.is_some()
+        self.state.cache.is_enabled()
     }
 
     /// Drops every cached result and resets the counters (the topology
@@ -1128,12 +1041,8 @@ impl Compiler {
     /// be stale — reclaim disk space by deleting the directory or
     /// reopening it with a smaller [`CompilerBuilder::persist_max_bytes`].
     pub fn clear_cache(&self) {
-        if let Some(c) = &self.state.cache {
-            c.lock().expect("result cache poisoned").clear();
-        }
-        if let Some(c) = &self.state.skeletons {
-            c.lock().expect("skeleton cache poisoned").clear();
-        }
+        self.state.cache.clear();
+        self.state.skeletons.clear();
     }
 }
 
@@ -1154,7 +1063,7 @@ impl Default for Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qompress_circuit::Gate;
+    use qompress_circuit::{Gate, RotationAxis};
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -1293,18 +1202,18 @@ mod tests {
     fn workers_autodetect_and_override() {
         assert!(Compiler::builder().build().workers() >= 1);
         assert_eq!(Compiler::builder().workers(3).build().workers(), 3);
-        assert!(Compiler::builder()
+        assert!(!Compiler::builder()
             .caching(false)
             .build()
             .state
             .cache
-            .is_none());
-        assert!(Compiler::builder()
+            .is_enabled());
+        assert!(!Compiler::builder()
             .cache_capacity(0)
             .build()
             .state
             .cache
-            .is_none());
+            .is_enabled());
     }
 
     #[test]
@@ -1388,5 +1297,81 @@ mod tests {
             Topology::grid(4),
         ));
         assert!(handle.wait().result().is_some());
+    }
+
+    /// The key `session` files an EQM compile of `circuit` on `topo`
+    /// under.
+    fn strategy_key(session: &Compiler, circuit: &Circuit, topo: &Topology) -> CacheKey {
+        CacheKey::for_strategy(
+            circuit,
+            Strategy::Eqm,
+            topo.structural_fingerprint(),
+            session.state.config_fp,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "memory-tier cache hit diverged")]
+    fn verify_hits_catches_a_divergent_memory_hit() {
+        let session = Compiler::builder().verify_hits(true).build();
+        let topo = Topology::grid(4);
+        let other = session.compile(&ghz(3), &topo, Strategy::Eqm);
+        let key = strategy_key(&session, &ghz(4), &topo);
+        session.state.cache.insert(key, other);
+        let _ = session.compile(&ghz(4), &topo, Strategy::Eqm);
+    }
+
+    #[test]
+    #[should_panic(expected = "disk-tier cache hit diverged")]
+    fn verify_hits_catches_a_divergent_disk_hit() {
+        /// Removes the persist dir even when the test unwinds.
+        struct RemoveOnDrop(PathBuf);
+        impl Drop for RemoveOnDrop {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = RemoveOnDrop(
+            std::env::temp_dir().join(format!("qompress-divergent-disk-{}", std::process::id())),
+        );
+        let _ = std::fs::remove_dir_all(&dir.0);
+        // Memory tier off, so the lookup below reaches the disk tier.
+        let session = Compiler::builder()
+            .caching(false)
+            .verify_hits(true)
+            .persist_dir(&dir.0)
+            .build();
+        let topo = Topology::grid(4);
+        let other = session.compile(&ghz(3), &topo, Strategy::Eqm);
+        let key = strategy_key(&session, &ghz(4), &topo);
+        let tier = session.state.persist.as_ref().expect("persist dir opens");
+        assert!(tier
+            .store
+            .store(&key.hex(), &persist::encode_result(&other))
+            .expect("plant entry"));
+        let _ = session.compile(&ghz(4), &topo, Strategy::Eqm);
+    }
+
+    #[test]
+    #[should_panic(expected = "skeleton-tier cache hit diverged")]
+    fn verify_hits_catches_a_divergent_skeleton_hit() {
+        let skeleton = |target: usize| {
+            let mut s = ParametricCircuit::new(3);
+            s.push(Gate::h(0));
+            s.push(Gate::cx(0, target));
+            s.push_param(RotationAxis::Rz, 0, target);
+            s
+        };
+        let session = Compiler::builder().verify_hits(true).build();
+        let topo = Topology::grid(3);
+        let other = session.compile_skeleton(&skeleton(1), &topo, Strategy::Eqm);
+        let key = CacheKey::for_skeleton(
+            &skeleton(2),
+            Strategy::Eqm,
+            topo.structural_fingerprint(),
+            session.state.config_fp,
+        );
+        session.state.skeletons.insert(key, other);
+        let _ = session.compile_skeleton(&skeleton(2), &topo, Strategy::Eqm);
     }
 }

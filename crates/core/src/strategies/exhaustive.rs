@@ -10,9 +10,10 @@
 //! variant pools all candidates.
 //!
 //! The search runs **through a [`crate::Compiler`] session**: every candidate
-//! evaluation is an options-level session compile, so it reuses the
-//! session's per-topology precomputation ([`crate::Compiler::topology_cache`])
-//! and is memoized in the session's content-addressed result cache under
+//! evaluation is an options-level session compile on the one
+//! [`TopologyCache`] the search was handed (resolved once through the
+//! session's registry, [`crate::Compiler::topology_cache`]), and is
+//! memoized in the session's content-addressed result cache under
 //! its `(circuit, pair-set)` key. Within one search that turns the
 //! post-commit recompile of each round's winner into a cache hit; across
 //! calls it lets repeated sweeps on one session (the Figure 4 bench loop)
@@ -20,9 +21,8 @@
 
 use crate::layout::Layout;
 use crate::mapping::MappingOptions;
-use crate::pipeline::CompilationResult;
+use crate::pipeline::{CompilationResult, TopologyCache};
 use crate::session::SessionState;
-use qompress_arch::Topology;
 use qompress_circuit::{Circuit, CircuitDag, Gate};
 use std::sync::Arc;
 
@@ -87,7 +87,7 @@ pub struct ExhaustiveStep {
 pub(crate) fn run_exhaustive(
     session: &SessionState,
     circuit: &Circuit,
-    topo: &Topology,
+    tcache: &TopologyCache,
     options: &ExhaustiveOptions,
 ) -> (Arc<CompilationResult>, Vec<ExhaustiveStep>) {
     let objective = |r: &CompilationResult| match options.objective {
@@ -96,7 +96,7 @@ pub(crate) fn run_exhaustive(
     };
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     let mut best =
-        session.compile_with_options(circuit, topo, &MappingOptions::with_pairs(pairs.clone()));
+        session.compile_with_options(circuit, tcache, &MappingOptions::with_pairs(pairs.clone()));
     let mut steps = Vec::new();
 
     for _ in 0..options.max_rounds {
@@ -129,7 +129,7 @@ pub(crate) fn run_exhaustive(
                 continue;
             }
             let evaluated =
-                evaluate_parallel(session, circuit, topo, &pairs, group, options.objective);
+                evaluate_parallel(session, circuit, tcache, &pairs, group, options.objective);
             let winner = evaluated
                 .into_iter()
                 .filter(|(_, eps)| *eps > objective(&best) + 1e-12)
@@ -140,7 +140,7 @@ pub(crate) fn run_exhaustive(
                 // this pair set.
                 best = session.compile_with_options(
                     circuit,
-                    topo,
+                    tcache,
                     &MappingOptions::with_pairs(pairs.clone()),
                 );
                 steps.push(ExhaustiveStep {
@@ -166,7 +166,7 @@ pub(crate) fn run_exhaustive(
 fn evaluate_parallel(
     session: &SessionState,
     circuit: &Circuit,
-    topo: &Topology,
+    tcache: &TopologyCache,
     pairs: &[(usize, usize)],
     candidates: &[(usize, usize)],
     objective: EcObjective,
@@ -185,7 +185,7 @@ fn evaluate_parallel(
                         with.push(pair);
                         let r = session.compile_with_options(
                             circuit,
-                            topo,
+                            tcache,
                             &MappingOptions::with_pairs(with),
                         );
                         let value = match objective {
@@ -280,8 +280,8 @@ fn qubits_moved_by_communication(result: &CompilationResult) -> std::collections
 mod tests {
     use super::*;
     use crate::config::CompilerConfig;
-    use crate::pipeline::TopologyCache;
     use crate::session::Compiler;
+    use qompress_arch::Topology;
 
     /// One search on a fresh session (caching on, so each round's
     /// post-commit recompile is a hit).

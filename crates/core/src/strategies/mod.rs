@@ -100,7 +100,7 @@ pub(crate) fn compile(
                 ordered,
                 ..ExhaustiveOptions::default()
             };
-            let (best, _) = run_exhaustive(session, circuit, cache.topology(), &options);
+            let (best, _) = run_exhaustive(session, circuit, cache, &options);
             (*best).clone()
         }
         Strategy::FullQuquart => full_ququart::compile_full_ququart(circuit, cache, config),

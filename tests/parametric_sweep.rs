@@ -4,7 +4,9 @@
 //! does exactly one structural compile per sweep.
 
 use proptest::prelude::*;
-use qompress::{BatchJob, CacheStats, Compiler, ParamSweep, Strategy, ALL_STRATEGIES};
+use qompress::{
+    BatchJob, CacheStats, Compiler, CompilerConfig, ParamSweep, Strategy, ALL_STRATEGIES,
+};
 use qompress_arch::Topology;
 use qompress_circuit::{ParametricCircuit, RotationAxis};
 use qompress_qasm::random_parametric_circuit;
@@ -177,4 +179,60 @@ fn sweep_rejects_non_finite_angles() {
         Strategy::Eqm,
         &[vec![f64::NAN]],
     );
+}
+
+#[test]
+fn one_sweep_serves_each_job_its_own_strategy_and_topology() {
+    // Jobs minted by one `ParamSweep` share an artifact slot, but each
+    // job names its own strategy and topology: a job that differs from
+    // the slot's must not be served the slot's artifact.
+    let session = Compiler::builder().workers(1).build();
+    let skeleton = random_parametric_circuit(4, 20, 2, 5);
+    let angles = &bindings_for(&skeleton, 1, 0.6)[0];
+    let sweep = ParamSweep::new(skeleton.clone());
+    let reference = Compiler::builder().caching(false).build();
+    for (strategy, topo) in [
+        (Strategy::Eqm, Topology::grid(4)),
+        (Strategy::QubitOnly, Topology::line(6)),
+    ] {
+        let job = sweep.job(strategy.name(), strategy, topo.clone(), angles);
+        let outcome = session.submit(job).wait();
+        let stamped = outcome.result().expect("sweep job completes");
+        let direct = reference.compile(&skeleton.bind(angles), &topo, strategy);
+        assert_eq!(
+            format!("{:?}", **stamped),
+            format!("{:?}", *direct),
+            "{strategy} on {}",
+            topo.name()
+        );
+    }
+}
+
+#[test]
+fn one_sweep_serves_each_session_its_own_configuration() {
+    // The slot is filled by the first session that runs a job; a session
+    // with another configuration must compile its own artifact.
+    let skeleton = random_parametric_circuit(4, 20, 2, 9);
+    let angles = &bindings_for(&skeleton, 1, -0.2)[0];
+    let topo = Topology::grid(4);
+    let sweep = ParamSweep::new(skeleton.clone());
+    let config = CompilerConfig::paper().with_t1_ratio(1.5);
+    let paper = Compiler::builder().workers(1).build();
+    let swept = Compiler::builder()
+        .workers(1)
+        .config(config.clone())
+        .build();
+    for (session, reference) in [
+        (&paper, Compiler::builder().caching(false).build()),
+        (
+            &swept,
+            Compiler::builder().caching(false).config(config).build(),
+        ),
+    ] {
+        let job = sweep.job("bind", Strategy::Eqm, topo.clone(), angles);
+        let outcome = session.submit(job).wait();
+        let stamped = outcome.result().expect("sweep job completes");
+        let direct = reference.compile(&skeleton.bind(angles), &topo, Strategy::Eqm);
+        assert_eq!(format!("{:?}", **stamped), format!("{:?}", *direct));
+    }
 }
