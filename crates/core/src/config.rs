@@ -37,7 +37,7 @@ pub struct CompilerConfig {
     /// scoring, exact rows only for front-layer precision.
     pub oracle_exact_threshold: usize,
     /// Number of landmarks K in landmark mode. `0` picks automatically
-    /// (`ceil(sqrt(slots))`, clamped to `8..=64`).
+    /// (`2 * ceil(sqrt(slots))`, clamped to `16..=128`).
     pub oracle_landmarks: usize,
 }
 

@@ -9,11 +9,11 @@
 
 use crate::config::CompilerConfig;
 use crate::layout::Layout;
+use crate::result_cache::ResultCache;
 use qompress_arch::{ExpandedGraph, Slot, SlotIndex};
 use qompress_circuit::graph::WGraph;
 use qompress_pulse::GateClass;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Selects the CX gate class and operand order for a control/target slot
 /// pair under the current encodings.
@@ -147,8 +147,9 @@ pub fn gate_cost(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleMode {
     /// Lazy full Dijkstra rows per source (byte-identity pinned; up to
-    /// O(V²) memory once every source is touched). Selected for devices
-    /// with at most [`CompilerConfig::oracle_exact_threshold`] units.
+    /// O(V²) memory once every source is touched), plus the hot LRU for
+    /// [`DistanceOracle::path`]. Selected for devices with at most
+    /// [`CompilerConfig::oracle_exact_threshold`] units.
     Exact,
     /// K landmark rows (farthest-point sampling, O(K·V) memory) answer
     /// [`DistanceOracle::distance`] with the admissible ALT bound
@@ -168,9 +169,8 @@ pub struct OracleStats {
     pub exact_oracles: usize,
     /// Oracles currently in landmark mode.
     pub landmark_oracles: usize,
-    /// Materialized exact rows: lazily filled distance and predecessor
-    /// rows in exact mode, plus distance+predecessor pairs held by the
-    /// landmark-mode hot LRU.
+    /// Materialized exact rows: lazily filled exact-mode distance rows,
+    /// plus the distance+predecessor pairs held by the hot LRU.
     pub rows_materialized: usize,
     /// Precomputed landmark distance rows across landmark-mode oracles.
     pub landmark_rows: usize,
@@ -228,25 +228,16 @@ struct Landmarks {
 /// row that reconstructs shortest paths from the same run.
 type ExactRow = Arc<(Vec<f64>, Vec<usize>)>;
 
-/// Bounded cache of exact `(distances, predecessors)` rows for hot
-/// sources in landmark mode. Values are pure Dijkstra results, so cache
-/// state (shared across jobs) can never change an answer — only whether
-/// it is recomputed.
-#[derive(Debug, Default)]
-struct HotRows {
-    map: HashMap<usize, ExactRow>,
-    order: VecDeque<usize>,
-}
-
-/// Exact hot rows retained per landmark-mode slot oracle. Front layers
-/// rarely involve more than a handful of distinct source slots at once.
+/// LRU bound on the exact hot rows retained per slot oracle. Front layers
+/// and fallback paths rarely involve more than a handful of distinct
+/// source slots at once.
 const HOT_ROW_BOUND: usize = 32;
 
 /// Cached slot distances under the Eq. (4) SWAP-cost metric.
 ///
 /// Edge weights depend only on the *encoding flags* of the endpoint units,
-/// so the oracle stays valid while qubits move; call
-/// [`DistanceOracle::invalidate`] after changing encodings (mapping time).
+/// so the oracle stays valid while qubits move; a different encoding is a
+/// different oracle (see [`crate::TopologyCache::oracle_for`]).
 ///
 /// Two modes, selected at construction from the device size against
 /// [`CompilerConfig::oracle_exact_threshold`]:
@@ -255,10 +246,10 @@ const HOT_ROW_BOUND: usize = 32;
 ///   lookups take `&self` and a fully immutable oracle can be shared
 ///   across compilation threads behind an `Arc` (the batch engine reuses
 ///   one bare-encoding oracle per topology this way). Predecessor rows
-///   for [`DistanceOracle::path`] are memoized the same way, and the
-///   single Dijkstra run that fills a predecessor row also populates the
-///   matching distance row. All exact-mode behavior is byte-identity
-///   pinned against the naive reference (`tests/routing_determinism.rs`).
+///   for [`DistanceOracle::path`] come from the bounded hot LRU below,
+///   and the Dijkstra run that fills one also seeds the matching
+///   distance row. All exact-mode behavior is byte-identity pinned
+///   against the naive reference (`tests/routing_determinism.rs`).
 /// * **Landmark** — for utility-scale devices the all-pairs footprint is
 ///   prohibitive (a 1121-unit heavy-hex is 2242 slots ⇒ ~40 MB of
 ///   distance rows), so [`DistanceOracle::distance`] answers with the
@@ -274,12 +265,15 @@ pub struct DistanceOracle {
     mode: OracleMode,
     /// Exact-mode lazy rows (empty in landmark mode).
     cache: Vec<OnceLock<Vec<f64>>>,
-    prev_cache: Vec<OnceLock<Vec<usize>>>,
     /// Landmark-mode state (unused in exact mode).
     landmark_count: usize,
     landmarks: OnceLock<Landmarks>,
-    hot: Mutex<HotRows>,
-    hot_capacity: usize,
+    /// Exact `(distances, predecessors)` rows of hot sources: every
+    /// [`DistanceOracle::path`], and landmark-mode
+    /// [`DistanceOracle::distance_exact`]. Values are pure Dijkstra
+    /// results, so this state (shared across jobs) can never change an
+    /// answer — only whether it is recomputed.
+    hot: ResultCache<usize, ExactRow>,
 }
 
 impl DistanceOracle {
@@ -336,11 +330,9 @@ impl DistanceOracle {
             graph,
             mode,
             cache: std::iter::repeat_with(OnceLock::new).take(rows).collect(),
-            prev_cache: std::iter::repeat_with(OnceLock::new).take(rows).collect(),
             landmark_count: Self::landmark_budget(landmarks, n),
             landmarks: OnceLock::new(),
-            hot: Mutex::new(HotRows::default()),
-            hot_capacity,
+            hot: ResultCache::new(hot_capacity),
         }
     }
 
@@ -484,32 +476,12 @@ impl DistanceOracle {
     }
 
     /// Returns the exact `(distances, predecessors)` row for `src` from
-    /// the hot LRU, computing and inserting it on miss. Values are pure
-    /// functions of the graph, so shared LRU state affects cost, never
-    /// answers.
+    /// the hot LRU, running Dijkstra (outside the LRU's lock) on a miss.
+    /// Values are pure functions of the graph, so shared LRU state affects
+    /// cost, never answers.
     fn hot_row(&self, src: usize) -> ExactRow {
-        let mut hot = self.hot.lock().expect("hot-row lock poisoned");
-        if let Some(row) = hot.map.get(&src) {
-            let row = Arc::clone(row);
-            // Refresh recency.
-            if let Some(pos) = hot.order.iter().position(|&v| v == src) {
-                hot.order.remove(pos);
-                hot.order.push_back(src);
-            }
-            return row;
-        }
-        let row = Arc::new(self.graph.dijkstra_with_prev(src));
-        while hot.map.len() >= self.hot_capacity {
-            match hot.order.pop_front() {
-                Some(old) => {
-                    hot.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        hot.map.insert(src, Arc::clone(&row));
-        hot.order.push_back(src);
-        row
+        self.hot
+            .get_or_insert_with(&src, || Arc::new(self.graph.dijkstra_with_prev(src)))
     }
 
     /// The equivalent *success probability* of the best SWAP path,
@@ -520,45 +492,19 @@ impl DistanceOracle {
 
     /// Shortest path between two slots (vertex list), for fallback routing.
     ///
-    /// In exact mode predecessor rows are memoized per source slot, so
-    /// repeated calls (the fallback router re-queries after every hop)
-    /// cost one Dijkstra total per source; the run that fills a
-    /// predecessor row also fills the source's distance row — the two
-    /// entry points share one search. In landmark mode the hot LRU serves
-    /// the same purpose with bounded memory.
+    /// Predecessor rows come from the hot LRU, so repeated calls from one
+    /// source (successive fallback walks) cost one Dijkstra. In exact mode
+    /// that run also seeds the source's distance row — the two entry
+    /// points share one search.
     pub fn path(&self, from: Slot, to: Slot) -> Option<Vec<Slot>> {
-        let prev: &[usize] = match self.mode {
-            OracleMode::Exact => self.prev_cache[from.index()].get_or_init(|| {
-                let (dist, prev) = self.graph.dijkstra_with_prev(from.index());
-                // Bit-identical to what `distance` would compute (shared
-                // Dijkstra core), so seeding the distance row is free;
-                // ignore the error if that row already exists.
-                let _ = self.cache[from.index()].set(dist);
-                prev
-            }),
-            OracleMode::Landmark => {
-                let row = self.hot_row(from.index());
-                return WGraph::path_from_prev(&row.1, from.index(), to.index())
-                    .map(|p| p.into_iter().map(Slot::from_index).collect());
-            }
-        };
-        WGraph::path_from_prev(prev, from.index(), to.index())
+        let row = self.hot_row(from.index());
+        if self.mode == OracleMode::Exact {
+            // Bit-identical to what `distance` would compute (shared
+            // Dijkstra core).
+            self.cache[from.index()].get_or_init(|| row.0.clone());
+        }
+        WGraph::path_from_prev(&row.1, from.index(), to.index())
             .map(|p| p.into_iter().map(Slot::from_index).collect())
-    }
-
-    /// Drops all cached distances, predecessor rows, hot rows, and
-    /// landmark rows (after encoding changes).
-    pub fn invalidate(&mut self) {
-        for c in &mut self.cache {
-            *c = OnceLock::new();
-        }
-        for c in &mut self.prev_cache {
-            *c = OnceLock::new();
-        }
-        self.landmarks = OnceLock::new();
-        let mut hot = self.hot.lock().expect("hot-row lock poisoned");
-        hot.map.clear();
-        hot.order.clear();
     }
 
     /// Current row/memory accounting for this oracle. Computed on demand
@@ -566,11 +512,10 @@ impl DistanceOracle {
     pub fn stats(&self) -> OracleStats {
         let n = self.graph.len();
         let dist_rows = self.cache.iter().filter(|c| c.get().is_some()).count();
-        let prev_rows = self.prev_cache.iter().filter(|c| c.get().is_some()).count();
-        let hot_entries = self.hot.lock().expect("hot-row lock poisoned").map.len();
+        let hot_entries = self.hot.len();
         let landmark_rows = self.landmarks.get().map_or(0, |lm| lm.rows.len());
         // Each hot entry holds one distance and one predecessor row.
-        let rows_materialized = dist_rows + prev_rows + 2 * hot_entries;
+        let rows_materialized = dist_rows + 2 * hot_entries;
         OracleStats {
             exact_oracles: usize::from(self.mode == OracleMode::Exact),
             landmark_oracles: usize::from(self.mode == OracleMode::Landmark),
@@ -731,17 +676,6 @@ mod tests {
             let db = b.distance(Slot::zero(0), t);
             assert_eq!(da.to_bits(), db.to_bits(), "row drifted at {t}");
         }
-    }
-
-    #[test]
-    fn invalidate_clears_predecessor_rows() {
-        let (expanded, layout, config) = setup(&[]);
-        let mut oracle = DistanceOracle::new(&expanded, &layout, &config);
-        let before = oracle.path(Slot::zero(0), Slot::zero(3)).unwrap();
-        oracle.invalidate();
-        // Rows rebuild transparently after invalidation.
-        assert_eq!(oracle.path(Slot::zero(0), Slot::zero(3)).unwrap(), before);
-        assert!(oracle.distance(Slot::zero(0), Slot::zero(1)).is_finite());
     }
 
     /// Config that forces every oracle into landmark mode.
@@ -908,22 +842,5 @@ mod tests {
         let json = total.to_json();
         assert!(json.contains("\"landmark_rows\":16"));
         assert!(json.contains("\"approx_bytes\":1000"));
-    }
-
-    #[test]
-    fn invalidate_clears_landmark_state() {
-        let expanded = ExpandedGraph::new(Topology::line(8));
-        let mut oracle = DistanceOracle::bare(&expanded, &landmark_config());
-        let before = oracle.distance(Slot::zero(0), Slot::zero(7));
-        let before_exact = oracle.distance_exact(Slot::zero(0), Slot::zero(7));
-        oracle.invalidate();
-        let s = oracle.stats();
-        assert_eq!(s.landmark_rows, 0);
-        assert_eq!(s.rows_materialized, 0);
-        assert_eq!(oracle.distance(Slot::zero(0), Slot::zero(7)), before);
-        assert_eq!(
-            oracle.distance_exact(Slot::zero(0), Slot::zero(7)),
-            before_exact
-        );
     }
 }

@@ -14,6 +14,7 @@ use crate::layout::Layout;
 use crate::mapping::{map_circuit_with_center, MappingOptions};
 use crate::metrics::Metrics;
 use crate::physical::Schedule;
+use crate::result_cache::ResultCache;
 use crate::routing::route_cached;
 use crate::scheduling::{merge_singles, schedule_ops, trace_coherence, CoherenceTrace};
 use qompress_arch::{ExpandedGraph, Topology};
@@ -21,10 +22,11 @@ use qompress_circuit::{Circuit, CircuitDag};
 use std::fmt;
 use std::sync::Arc;
 
-/// Upper bound on distinct encoded-signature oracles one [`TopologyCache`]
-/// retains. Beyond it, oracles are still built on demand but no longer
-/// memoized — a safety valve for adversarial workloads (e.g. an exhaustive
-/// search over a huge device) rather than a limit real sweeps hit.
+/// LRU bound on the encoded-signature oracles one [`TopologyCache`]
+/// retains. Beyond it, the least-recently-used signature's oracle is
+/// dropped and rebuilt on its next use — a safety valve for adversarial
+/// workloads (e.g. an exhaustive search over a huge device) rather than a
+/// limit real sweeps hit.
 const MAX_ENCODED_ORACLES: usize = 128;
 
 /// Immutable per-topology precomputation, shared across compilations.
@@ -34,10 +36,11 @@ const MAX_ENCODED_ORACLES: usize = 128;
 /// reuse one cache behind an [`Arc`] instead of redoing it per job (see
 /// [`crate::Compiler`]). The bare-encoding oracle fills lazily on the
 /// first compilation that routes an unencoded layout; encoded layouts are
-/// served from a per-**encoding-signature** oracle map (the signature is
-/// the per-unit encoded-flag vector — the only layout state the oracle's
-/// edge weights depend on), so jobs whose layouts encode the same unit set
-/// stop rebuilding their oracle.
+/// served from a bounded per-**encoding-signature** oracle LRU (the
+/// signature is the per-unit encoded-flag vector — the only layout state
+/// the oracle's edge weights depend on), so jobs whose layouts encode the
+/// same unit set stop rebuilding their oracle. The bare oracle is never
+/// evicted: every unencoded compile routes with it.
 #[derive(Debug)]
 pub struct TopologyCache {
     expanded: Arc<ExpandedGraph>,
@@ -49,7 +52,7 @@ pub struct TopologyCache {
     bare_oracle: std::sync::OnceLock<Arc<DistanceOracle>>,
     /// Oracles keyed by encoded-flag signature, for layouts with at least
     /// one encoded unit.
-    encoded_oracles: std::sync::Mutex<std::collections::HashMap<Vec<bool>, Arc<DistanceOracle>>>,
+    encoded_oracles: ResultCache<Vec<bool>, Arc<DistanceOracle>>,
     /// The topology's center unit, memoized (finding it is an all-sources
     /// BFS — noticeable on 1000-unit devices, pure waste per job).
     center: std::sync::OnceLock<usize>,
@@ -63,7 +66,7 @@ impl TopologyCache {
             expanded: Arc::new(ExpandedGraph::new(topo)),
             config: config.clone(),
             bare_oracle: std::sync::OnceLock::new(),
-            encoded_oracles: std::sync::Mutex::new(std::collections::HashMap::new()),
+            encoded_oracles: ResultCache::new(MAX_ENCODED_ORACLES),
             center: std::sync::OnceLock::new(),
         }
     }
@@ -91,7 +94,7 @@ impl TopologyCache {
     /// The distance oracle valid while **no unit is encoded** (the state
     /// every qubit-only compilation routes in), built on first use under
     /// the cache's own configuration.
-    pub fn bare_oracle(&self) -> &Arc<DistanceOracle> {
+    pub(crate) fn bare_oracle(&self) -> &Arc<DistanceOracle> {
         self.bare_oracle
             .get_or_init(|| Arc::new(DistanceOracle::bare(&self.expanded, &self.config)))
     }
@@ -101,34 +104,20 @@ impl TopologyCache {
     ///
     /// Oracle edge weights depend only on the per-unit encoded flags (not
     /// on which qubit occupies which slot), so the flag vector is a
-    /// complete cache signature. All-bare layouts reuse the
-    /// [`TopologyCache::bare_oracle`]; encoded signatures land in a bounded
-    /// map (beyond `MAX_ENCODED_ORACLES` entries the oracle is built fresh and
-    /// not retained).
+    /// complete cache signature. All-bare layouts reuse the bare oracle;
+    /// encoded signatures land in an LRU of `MAX_ENCODED_ORACLES` entries,
+    /// built outside its lock on a miss.
     pub fn oracle_for(&self, layout: &Layout) -> Arc<DistanceOracle> {
-        if !layout.encoded_flags().iter().any(|&e| e) {
+        let flags = layout.encoded_flags();
+        if !flags.contains(&true) {
             return Arc::clone(self.bare_oracle());
         }
-        let mut map = self.encoded_oracles.lock().expect("oracle map poisoned");
         // Borrowed-slice lookup (`Vec<bool>: Borrow<[bool]>`): the hit path
         // — every encoded candidate compile of an exhaustive sweep —
         // allocates nothing.
-        if let Some(oracle) = map.get(layout.encoded_flags()) {
-            return Arc::clone(oracle);
-        }
-        let oracle = Arc::new(DistanceOracle::new(&self.expanded, layout, &self.config));
-        if map.len() < MAX_ENCODED_ORACLES {
-            map.insert(layout.encoded_flags().to_vec(), Arc::clone(&oracle));
-        }
-        oracle
-    }
-
-    /// Number of memoized encoded-signature oracles (diagnostics/tests).
-    pub fn encoded_oracle_count(&self) -> usize {
-        self.encoded_oracles
-            .lock()
-            .expect("oracle map poisoned")
-            .len()
+        self.encoded_oracles.get_or_insert_with(flags, || {
+            Arc::new(DistanceOracle::new(&self.expanded, layout, &self.config))
+        })
     }
 
     /// Aggregated row/memory accounting over every oracle this cache
@@ -138,8 +127,7 @@ impl TopologyCache {
         if let Some(bare) = self.bare_oracle.get() {
             total.merge(&bare.stats());
         }
-        let map = self.encoded_oracles.lock().expect("oracle map poisoned");
-        for oracle in map.values() {
+        for oracle in self.encoded_oracles.values() {
             total.merge(&oracle.stats());
         }
         total
@@ -345,6 +333,28 @@ mod tests {
             let total = r.trace.qubit_ns[q] + r.trace.ququart_ns[q];
             assert!((total - d).abs() < 1e-6, "qubit {q}: {total} vs {d}");
         }
+    }
+
+    #[test]
+    fn encoded_oracles_stay_memoized_past_the_bound() {
+        let topo = Topology::line(8);
+        let cache = TopologyCache::new(topo, &CompilerConfig::paper());
+        // Signature `i` encodes the units of `i`'s set bits (never all-bare).
+        let layout = |i: usize| {
+            let mut layout = Layout::new(0, 8);
+            for unit in (0..8).filter(|u| i >> u & 1 == 1) {
+                layout.set_encoded(unit);
+            }
+            layout
+        };
+        let last = MAX_ENCODED_ORACLES + 1;
+        for i in 1..=last {
+            let _ = cache.oracle_for(&layout(i));
+        }
+        let a = cache.oracle_for(&layout(last));
+        let b = cache.oracle_for(&layout(last));
+        assert!(Arc::ptr_eq(&a, &b), "newest signature must stay resident");
+        assert_eq!(cache.encoded_oracles.len(), MAX_ENCODED_ORACLES);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Content-addressed memoization of compilation results.
+//! Content-addressed memoization of compilation results, and the one
+//! bounded in-memory cache type behind it.
 //!
-//! A [`ResultCache`] maps a [`CacheKey`] — the joint fingerprint of the
-//! circuit content, the job kind (strategy or explicit mapping options),
-//! the topology structure and the compiler configuration — to an
+//! A session's result tier maps a [`CacheKey`] — the joint fingerprint of
+//! the circuit content, the job kind (strategy or explicit mapping
+//! options), the topology structure and the compiler configuration — to an
 //! `Arc<CompilationResult>`. Compilation is deterministic in exactly those
 //! four inputs, so a hit can be served without re-running the pipeline and
 //! is guaranteed byte-identical to a fresh compile (pinned by the session
 //! test-suite and the optional [`crate::CompilerBuilder::verify_hits`]
 //! mode, up to 64-bit fingerprint collisions).
 //!
-//! Eviction is least-recently-used over a bounded capacity; [`CacheStats`]
-//! counts hits, misses and evictions exactly.
+//! The tier is a [`ResultCache`]: a key-generic, least-recently-used map
+//! over a bounded capacity whose [`CacheStats`] count hits, misses and
+//! evictions exactly. Every other bounded map of the crate (topology
+//! registry, encoded-signature oracles, landmark hot rows) is one too.
 
 use crate::breaker::BreakerState;
 use crate::mapping::MappingOptions;
@@ -19,7 +22,9 @@ use qompress_arch::Fingerprinter;
 use qompress_circuit::{
     Circuit, Gate, ParametricCircuit, ParametricGate, RotationAxis, SingleQubitKind,
 };
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Mutex;
 
 /// Hit/miss/eviction counters of one in-memory cache tier: a session's
@@ -375,45 +380,81 @@ pub(crate) fn skeleton_fingerprint(skeleton: &ParametricCircuit) -> u64 {
     h.finish()
 }
 
-/// A bounded LRU cache of compilation artifacts, content-addressed by
-/// [`CacheKey`] — one memory tier of a session.
+/// A bounded LRU map — the one in-memory cache type of a session.
 ///
-/// Generic over the cached value `T` (cloned out on hits — in practice an
-/// `Arc`, so a hit is a reference-count bump): the session keeps one cache
-/// of concrete `CompilationResult`s and one of skeleton-level
-/// `SkeletonArtifact`s, with identical accounting.
+/// Generic over the key `K` and the cached value `V` (cloned out on hits
+/// — in practice an `Arc`, so a hit is a reference-count bump). A session
+/// keeps its compiled results and skeleton artifacts here under
+/// [`CacheKey`]s, its topology registry under structural fingerprints;
+/// each [`crate::TopologyCache`] keeps its encoded-signature oracles here
+/// and each landmark-mode [`crate::DistanceOracle`] its exact hot rows.
+/// Lookups take any borrowed form of the key (`K: Borrow<Q>`), so a
+/// `Vec<bool>`-keyed map is probed with a `&[bool]` without allocating.
 ///
 /// The cache does its own locking, and every method holds the lock only
-/// for its own short critical section: callers never keep it across a
-/// compilation, which may re-enter the same cache (the exhaustive search
-/// compiles its candidates through the session). Capacity `0` means
-/// disabled: nothing is stored and lookups are not counted.
+/// for its own short critical section: no caller — and no
+/// [`ResultCache::get_or_insert_with`] build — ever runs under it, so a
+/// build may re-enter the same cache (the exhaustive search compiles its
+/// candidates through the session) and a panicking build poisons nothing.
+/// Capacity `0` means disabled: nothing is stored and lookups are not
+/// counted.
 ///
 /// Recency is a monotonic access counter; eviction removes the entry with
 /// the smallest counter via an `O(len)` scan — negligible next to the cost
-/// of even one compilation, and free of unsafe linked-list bookkeeping.
+/// of building any cached value, and free of unsafe linked-list
+/// bookkeeping.
 #[derive(Debug)]
-pub(crate) struct ResultCache<T> {
+pub(crate) struct ResultCache<K, V> {
     capacity: usize,
-    lru: Mutex<Lru<T>>,
+    lru: Mutex<Lru<K, V>>,
 }
 
 #[derive(Debug)]
-struct Lru<T> {
+struct Lru<K, V> {
     tick: u64,
-    map: HashMap<CacheKey, Entry<T>>,
+    map: HashMap<K, Entry<V>>,
     stats: CacheStats,
 }
 
 #[derive(Debug)]
-struct Entry<T> {
-    result: T,
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-impl<T: Clone> ResultCache<T> {
-    /// An empty cache holding at most `capacity` results (`0` disables
-    /// it: nothing is stored and lookups are not counted).
+impl<K: Hash + Eq, V> Lru<K, V> {
+    /// The resident value under `key`, marked most recently used.
+    fn touch<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.tick += 1;
+        let entry = self.map.get_mut(key)?;
+        entry.last_used = self.tick;
+        Some(&entry.value)
+    }
+
+    /// Stores `value` under `key`, first evicting the least-recently-used
+    /// entry if the map is full. Overwriting an existing key is not an
+    /// eviction.
+    fn insert(&mut self, key: K, value: V, capacity: usize) {
+        self.tick += 1;
+        if !self.map.contains_key(&key) && self.map.len() >= capacity {
+            // Ticks are unique, so this drops exactly the oldest entry.
+            if let Some(oldest) = self.map.values().map(|e| e.last_used).min() {
+                self.map.retain(|_, e| e.last_used != oldest);
+                self.stats.evictions += 1;
+            }
+        }
+        let last_used = self.tick;
+        self.map.insert(key, Entry { value, last_used });
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
+    /// An empty cache holding at most `capacity` values (`0` disables it:
+    /// nothing is stored and lookups are not counted).
     pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
@@ -430,23 +471,25 @@ impl<T: Clone> ResultCache<T> {
         self.capacity > 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<T>> {
-        self.lru.lock().expect("result cache poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<K, V>> {
+        self.lru.lock().expect("cache lock poisoned")
     }
 
     /// Looks up `key`, counting a hit or a miss (a disabled cache misses
     /// without counting).
-    pub(crate) fn get(&self, key: &CacheKey) -> Option<T> {
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if !self.is_enabled() {
             return None;
         }
         let lru = &mut *self.lock();
-        lru.tick += 1;
-        match lru.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = lru.tick;
+        match lru.touch(key).cloned() {
+            Some(value) => {
                 lru.stats.hits += 1;
-                Some(entry.result.clone())
+                Some(value)
             }
             None => {
                 lru.stats.misses += 1;
@@ -455,33 +498,43 @@ impl<T: Clone> ResultCache<T> {
         }
     }
 
-    /// Stores a freshly compiled result, evicting the least-recently-used
+    /// Stores a freshly built value, evicting the least-recently-used
     /// entry if the cache is full. Overwriting an existing key (two racing
     /// workers compiling the same job) is not an eviction.
-    pub(crate) fn insert(&self, key: CacheKey, result: T) {
+    pub(crate) fn insert(&self, key: K, value: V) {
+        if self.is_enabled() {
+            self.lock().insert(key, value, self.capacity);
+        }
+    }
+
+    /// The value under `key`, building it with `build` on a miss. `build`
+    /// runs with no lock held; if another thread stored `key` meanwhile,
+    /// that resident value is returned (and the fresh one dropped), so
+    /// every caller observes one value per key while it stays resident.
+    pub(crate) fn get_or_insert_with<Q>(&self, key: &Q, build: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(hit) = self.get(key) {
+            return hit;
+        }
+        let fresh = build();
         if !self.is_enabled() {
-            return;
+            return fresh;
         }
         let lru = &mut *self.lock();
-        lru.tick += 1;
-        if !lru.map.contains_key(&key) && lru.map.len() >= self.capacity {
-            if let Some(&oldest) = lru
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                lru.map.remove(&oldest);
-                lru.stats.evictions += 1;
-            }
+        if let Some(resident) = lru.touch(key) {
+            return resident.clone();
         }
-        lru.map.insert(
-            key,
-            Entry {
-                result,
-                last_used: lru.tick,
-            },
-        );
+        lru.insert(key.to_owned(), fresh.clone(), self.capacity);
+        fresh
+    }
+
+    /// A snapshot of every resident value (recency untouched, nothing
+    /// counted), for stats walks that must not hold the lock.
+    pub(crate) fn values(&self) -> Vec<V> {
+        self.lock().map.values().map(|e| e.value.clone()).collect()
     }
 
     /// Current counters.
@@ -489,7 +542,7 @@ impl<T: Clone> ResultCache<T> {
         self.lock().stats
     }
 
-    /// Number of cached results.
+    /// Number of cached values.
     pub(crate) fn len(&self) -> usize {
         self.lock().map.len()
     }
@@ -572,6 +625,22 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(2)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(&key(1)).is_some());
+
+        // The same policy over an encoded-signature key, probed by slice.
+        let cache: ResultCache<Vec<bool>, u32> = ResultCache::new(2);
+        cache.insert(vec![true, false], 1);
+        cache.insert(vec![false, true], 2);
+        assert_eq!(cache.get([true, false].as_slice()), Some(1));
+        let built = cache.get_or_insert_with([true, true].as_slice(), || 3);
+        assert_eq!(built, 3);
+        assert_eq!(
+            cache.get([false, true].as_slice()),
+            None,
+            "LRU entry must be evicted"
+        );
+        let mut values = cache.values();
+        values.sort_unstable();
+        assert_eq!(values, vec![1, 3]);
     }
 
     #[test]
@@ -581,6 +650,9 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&key(1)).is_none());
         assert_eq!(cache.stats().evictions, 0);
+        let built = cache.get_or_insert_with(&key(2), dummy_result);
+        assert_eq!(built.logical_gates, 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -590,6 +662,18 @@ mod tests {
         cache.insert(key(1), Arc::clone(&r));
         cache.insert(key(1), Arc::clone(&r));
         assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.len(), 1);
+
+        // A build that loses the race to a resident value is dropped: the
+        // build runs unlocked, so it can store the key itself — the same
+        // interleaving as another thread finishing first.
+        let resident = dummy_result();
+        let served = cache.get_or_insert_with(&key(2), || {
+            cache.insert(key(2), Arc::clone(&resident));
+            dummy_result()
+        });
+        assert!(Arc::ptr_eq(&served, &resident), "resident value must win");
+        assert!(Arc::ptr_eq(&cache.get(&key(2)).unwrap(), &resident));
         assert_eq!(cache.len(), 1);
     }
 

@@ -595,8 +595,8 @@ impl<'a> Router<'a> {
     /// cheapest path until the gate's operands are adjacent.
     ///
     /// Each hop re-queries [`DistanceOracle::path`]; the oracle memoizes
-    /// one predecessor row per source slot, so the whole walk costs at most
-    /// one Dijkstra per distinct source instead of one per call.
+    /// predecessor rows of recent source slots, so a repeated source costs
+    /// no new Dijkstra.
     fn force_route(&mut self, gate: usize) {
         let (qa, qb) = self.circuit.gates()[gate]
             .qubit_pair()

@@ -311,8 +311,8 @@ fn worker_loop(session: Arc<SessionState>, inner: Arc<ServiceInner>) {
         // large for its topology, internal assertion, …) becomes a
         // `Failed` outcome instead of killing the worker. The session's
         // locks are only held inside short, panic-free critical sections
-        // (`memoized` compiles outside the cache lock), so no lock is
-        // poisoned by an unwinding compilation.
+        // (every session cache builds its values outside its lock), so no
+        // lock is poisoned by an unwinding compilation.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let tcache = rec
                 .tcache

@@ -30,6 +30,13 @@
 //!   jobs up to the configured bound — and are joined when the session
 //!   drops (still-queued jobs are cancelled, waiters woken).
 //!
+//! Every in-memory map here — the registry, the result and skeleton
+//! tiers, and inside each `TopologyCache` the encoded-signature oracles
+//! and landmark hot rows — is the same bounded LRU type with one
+//! capacity each. It builds a missing value outside its lock, so no
+//! session mutex is ever held across a compile, an oracle build or a
+//! Dijkstra run.
+//!
 //! The paper's evaluation (§6) and its precursor communication/compression
 //! trade-off study recompile near-identical `(circuit, strategy,
 //! topology)` jobs across large sweeps; a session turns every repeat into
@@ -68,32 +75,24 @@ use crate::strategies::{self, run_exhaustive, ExhaustiveOptions, ExhaustiveStep,
 use qompress_arch::Topology;
 use qompress_circuit::{Circuit, ParametricCircuit};
 use qompress_store::{DiskStore, FaultPlan, LoadOutcome};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on memoized compilation results per session.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Bound on registered topology structures per session. A `TopologyCache`
-/// holds the expanded slot graph plus lazily-filled Dijkstra state, so a
-/// long-lived session serving arbitrarily many distinct device structures
-/// must not grow without limit; beyond the bound the oldest registration
-/// is dropped (outstanding `Arc`s stay valid, the structure just rebuilds
-/// on its next use). Real sweeps use a handful of devices and never hit
-/// this.
+/// LRU bound of the topology registry. A `TopologyCache` holds the
+/// expanded slot graph plus lazily-filled Dijkstra state, so a long-lived
+/// session serving arbitrarily many distinct device structures must not
+/// grow without limit; beyond the bound the least-recently-used
+/// registration is dropped (outstanding `Arc`s stay valid, the structure
+/// just rebuilds on its next use). Real sweeps use a handful of devices
+/// and never hit this.
 const MAX_REGISTERED_TOPOLOGIES: usize = 64;
-
-/// The session's topology registry: fingerprint-keyed caches plus
-/// insertion order for deterministic oldest-first eviction at the bound.
-#[derive(Debug, Default)]
-struct TopologyRegistry {
-    map: HashMap<u64, Arc<TopologyCache>>,
-    order: std::collections::VecDeque<u64>,
-}
 
 /// Configures and builds a [`Compiler`] session.
 ///
@@ -283,7 +282,7 @@ impl CompilerBuilder {
                 config: self.config,
                 workers,
                 verify_hits: self.verify_hits,
-                topologies: Mutex::new(TopologyRegistry::default()),
+                topologies: ResultCache::new(MAX_REGISTERED_TOPOLOGIES),
                 cache: ResultCache::new(capacity),
                 skeletons: ResultCache::new(capacity),
                 persist,
@@ -447,13 +446,15 @@ pub(crate) struct SessionState {
     pub(crate) config_fp: u64,
     pub(crate) workers: usize,
     verify_hits: bool,
-    topologies: Mutex<TopologyRegistry>,
+    /// The topology registry: one shared [`TopologyCache`] per
+    /// [`Topology::structural_fingerprint`].
+    topologies: ResultCache<u64, Arc<TopologyCache>>,
     /// Compiled results, the memory tier (capacity 0 when caching is off).
-    cache: ResultCache<Arc<CompilationResult>>,
+    cache: ResultCache<CacheKey, Arc<CompilationResult>>,
     /// Compiled skeleton artifacts, keyed by the skeleton's *structural*
     /// fingerprint (parameter wiring, not values) — shares the concrete
     /// cache's capacity knob and on/off switch.
-    skeletons: ResultCache<Arc<SkeletonArtifact>>,
+    skeletons: ResultCache<CacheKey, Arc<SkeletonArtifact>>,
     /// The on-disk tier behind the memory tier. Concrete results only:
     /// skeleton artifacts hold closure-derived state that is cheap to
     /// rebuild relative to their reuse pattern, so they stay
@@ -468,22 +469,12 @@ pub(crate) struct SessionState {
 impl SessionState {
     /// The shared [`TopologyCache`] for `topo` — the one place a job's
     /// topology is resolved: fingerprint it, look it up in the registry,
-    /// build it on first use.
+    /// build it on first use (outside the registry lock).
     pub(crate) fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
-        let topo_fp = topo.structural_fingerprint();
-        let mut registry = self.topologies.lock().expect("topology registry poisoned");
-        if let Some(cache) = registry.map.get(&topo_fp) {
-            return Arc::clone(cache);
-        }
-        if registry.map.len() >= MAX_REGISTERED_TOPOLOGIES {
-            if let Some(oldest) = registry.order.pop_front() {
-                registry.map.remove(&oldest);
-            }
-        }
-        let cache = Arc::new(TopologyCache::new(topo.clone(), &self.config));
-        registry.map.insert(topo_fp, Arc::clone(&cache));
-        registry.order.push_back(topo_fp);
-        cache
+        self.topologies
+            .get_or_insert_with(&topo.structural_fingerprint(), || {
+                Arc::new(TopologyCache::new(topo.clone(), &self.config))
+            })
     }
 
     /// Compiles `circuit` onto `tcache`'s topology with `strategy`,
@@ -584,7 +575,7 @@ impl SessionState {
     /// passes [`SessionState::verify_hit`].
     fn memoized<T: Clone + Debug>(
         &self,
-        memory: &ResultCache<T>,
+        memory: &ResultCache<CacheKey, T>,
         memory_tier: &str,
         disk: Option<&dyn BackingTier<T>>,
         key: CacheKey,
@@ -665,11 +656,6 @@ impl Compiler {
     /// caching on.
     pub fn new() -> Self {
         Compiler::builder().build()
-    }
-
-    /// A session over `config` with every other knob at its default.
-    pub fn with_config(config: &CompilerConfig) -> Self {
-        Compiler::builder().config(config.clone()).build()
     }
 
     /// The session's configuration.
@@ -959,21 +945,16 @@ impl Compiler {
     /// The shared [`TopologyCache`] for `topo`, building it on first use
     /// and deduplicating by structural fingerprint across every session
     /// call (two same-structure topologies share one cache regardless of
-    /// name). The registry holds at most `MAX_REGISTERED_TOPOLOGIES`
-    /// structures; beyond that the oldest registration is dropped (in-use
-    /// `Arc`s stay valid).
+    /// name). The registry is an LRU of at most `MAX_REGISTERED_TOPOLOGIES`
+    /// structures; beyond that the least-recently-used registration is
+    /// dropped (in-use `Arc`s stay valid).
     pub fn topology_cache(&self, topo: &Topology) -> Arc<TopologyCache> {
         self.state.topology_cache(topo)
     }
 
     /// Number of distinct topology structures registered so far.
     pub fn registered_topologies(&self) -> usize {
-        self.state
-            .topologies
-            .lock()
-            .expect("topology registry poisoned")
-            .map
-            .len()
+        self.state.topologies.len()
     }
 
     /// Aggregated distance-oracle row/memory accounting across every
@@ -981,16 +962,8 @@ impl Compiler {
     /// Large landmark-mode devices report their O(K·V) footprint here;
     /// the wire `stats` op serves this object as `"oracle"`.
     pub fn oracle_stats(&self) -> crate::OracleStats {
-        let caches: Vec<Arc<TopologyCache>> = {
-            let registry = self
-                .state
-                .topologies
-                .lock()
-                .expect("topology registry poisoned");
-            registry.map.values().map(Arc::clone).collect()
-        };
         let mut total = crate::OracleStats::default();
-        for cache in caches {
+        for cache in self.state.topologies.values() {
             total.merge(&cache.oracle_stats());
         }
         total
@@ -1137,9 +1110,34 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_topology_resolution_shares_one_cache() {
+        let session = Compiler::new();
+        let topo = Topology::grid(16);
+        let threads = 6;
+        let barrier = std::sync::Barrier::new(threads);
+        let caches: Vec<Arc<TopologyCache>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        session.topology_cache(&topo)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for cache in &caches[1..] {
+            assert!(Arc::ptr_eq(&caches[0], cache));
+        }
+        assert_eq!(session.registered_topologies(), 1);
+    }
+
+    #[test]
     fn config_changes_key_space() {
         let paper = Compiler::new();
-        let swept = Compiler::with_config(&CompilerConfig::paper().with_t1_ratio(1.5));
+        let swept = Compiler::builder()
+            .config(CompilerConfig::paper().with_t1_ratio(1.5))
+            .build();
         let c = ghz(4);
         let topo = Topology::grid(4);
         let a = paper.compile(&c, &topo, Strategy::Eqm);
