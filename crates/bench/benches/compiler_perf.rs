@@ -38,13 +38,25 @@ fn bench_full_pipeline(c: &mut Criterion) {
 fn bench_mapping_only(c: &mut Criterion) {
     let config = CompilerConfig::paper();
     let mut group = c.benchmark_group("mapping");
-    for size in [16usize, 32] {
+    for size in [16usize, 32, 64] {
         let circuit = build(Benchmark::QaoaTorus, size, 7);
         let topo = Topology::grid(size);
         group.bench_with_input(BenchmarkId::new("eqm", size), &size, |b, _| {
             b.iter(|| qompress::map_circuit(&circuit, &topo, &config, &MappingOptions::eqm()));
         });
     }
+    // Explicit-pairs mapping at 64 qubits, with the pairs AWE commits.
+    let circuit = build(Benchmark::QaoaTorus, 64, 7);
+    let topo = Topology::grid(64);
+    let pairs = MappingOptions::with_pairs(
+        one_shot(&config)
+            .compile(&circuit, &topo, Strategy::Awe)
+            .pairs
+            .clone(),
+    );
+    group.bench_with_input(BenchmarkId::new("pairs", 64), &64, |b, _| {
+        b.iter(|| qompress::map_circuit(&circuit, &topo, &config, &pairs));
+    });
     group.finish();
 }
 
@@ -76,6 +88,15 @@ fn bench_strategy_search(c: &mut Criterion) {
             one_shot(&config).compile_with_options(&circuit, &topo, &MappingOptions::qubit_only())
         });
     });
+    // The pair searches on a dense 64-qubit QAOA (30% edge density), where
+    // their per-candidate scoring dominates a compile.
+    let dense = build(Benchmark::QaoaRandom, 64, 7);
+    let grid = Topology::grid(64);
+    for strategy in [Strategy::Awe, Strategy::ProgressivePairing] {
+        group.bench_function(BenchmarkId::new(strategy.name(), "qaoa_random_64"), |b| {
+            b.iter(|| one_shot(&config).compile(&dense, &grid, strategy));
+        });
+    }
     group.finish();
 }
 

@@ -9,6 +9,15 @@
 //! Slot 1 of a unit is only ever considered after slot 0 is taken, and
 //! hard pairing constraints (from the compression strategies of §5) force
 //! two qubits into one ququart.
+//!
+//! Scoring is incremental. Each qubit's total weight is computed once, and
+//! its weight to the placed set is a running sum updated as qubits are
+//! placed. Each step lists the pick's placed partners (nonzero weight, in
+//! placement order) once, so a candidate's cost touches only those
+//! partners instead of every placed qubit. The terms and their order are
+//! those of the from-scratch formulation (rescan every placed qubit per
+//! candidate), so layouts are bit-identical to it; the naive reference in
+//! `tests/pair_search_determinism.rs` pins that.
 
 use crate::config::CompilerConfig;
 use crate::cost::{DistanceOracle, OracleMode};
@@ -120,21 +129,66 @@ pub fn map_circuit(
     config: &CompilerConfig,
     options: &MappingOptions,
 ) -> Layout {
-    map_circuit_with_center(circuit, topo, config, options, topo.center())
+    let graph = topo.to_ugraph();
+    let center_dist = graph.bfs_distances(graph.center());
+    let ig = InteractionGraph::build(circuit);
+    map_interactions(&ig, topo, config, options, &center_dist)
 }
 
-/// [`map_circuit`] with the topology's center unit precomputed — finding
-/// the center is an all-sources BFS (`O(V·E)`), so callers compiling many
-/// circuits on one topology (the session pipeline) memoize it in their
-/// `TopologyCache` instead of re-deriving it per job.
-pub(crate) fn map_circuit_with_center(
-    circuit: &Circuit,
+/// One already-placed interaction partner of the qubit being placed.
+struct Partner {
+    qubit: usize,
+    weight: f64,
+    unit: usize,
+}
+
+/// Placement-order bookkeeping of the greedy mapper.
+struct Placed {
+    /// `weight_to[q]`: Σ w(q, j) over placed j, added in placement order.
+    weight_to: Vec<f64>,
+    /// Each qubit's position in placement order (`usize::MAX` while
+    /// unplaced).
+    rank: Vec<usize>,
+    /// Number of placed qubits.
+    count: usize,
+}
+
+impl Placed {
+    fn new(n: usize) -> Self {
+        Placed {
+            weight_to: vec![0.0; n],
+            rank: vec![usize::MAX; n],
+            count: 0,
+        }
+    }
+
+    fn contains(&self, q: usize) -> bool {
+        self.rank[q] != usize::MAX
+    }
+
+    fn place(&mut self, ig: &InteractionGraph, layout: &mut Layout, q: usize, slot: Slot) {
+        layout.place(q, slot);
+        self.rank[q] = self.count;
+        self.count += 1;
+        for &(j, w) in ig.incident(q) {
+            self.weight_to[j] += w;
+        }
+    }
+}
+
+/// [`map_circuit`] over a prebuilt interaction graph, with every unit's
+/// BFS hop distance from the topology's center precomputed — finding the
+/// center is an all-sources BFS (`O(V·E)`), so callers compiling many
+/// circuits on one topology (the session pipeline, PP's re-maps, FQ)
+/// read it from their `TopologyCache` instead of re-deriving it per job.
+pub(crate) fn map_interactions(
+    ig: &InteractionGraph,
     topo: &Topology,
     config: &CompilerConfig,
     options: &MappingOptions,
-    center: usize,
+    center_dist: &[usize],
 ) -> Layout {
-    let n = circuit.n_qubits();
+    let n = ig.n_qubits();
     let capacity = if options.allow_slot1 || !options.pairs.is_empty() {
         2 * topo.n_nodes()
     } else {
@@ -145,8 +199,9 @@ pub(crate) fn map_circuit_with_center(
         "circuit has {n} qubits but the architecture offers only {capacity} positions"
     );
 
-    // Pairing table.
+    // Pairing table: each qubit's partner, and whether it takes slot 0.
     let mut partner = vec![None; n];
+    let mut takes_slot0 = vec![false; n];
     for &(a, b) in &options.pairs {
         assert!(a != b && a < n && b < n, "bad pair ({a},{b})");
         assert!(
@@ -155,18 +210,13 @@ pub(crate) fn map_circuit_with_center(
         );
         partner[a] = Some(b);
         partner[b] = Some(a);
+        takes_slot0[a] = true;
     }
 
-    let ig = InteractionGraph::build(circuit);
     let mut layout = Layout::new(n, topo.n_nodes());
     let mut metric = UnitMetric::new(topo, config, &layout);
-    let mut placed: Vec<usize> = Vec::new();
-    let mut unplaced: Vec<bool> = vec![true; n];
-
-    // Helper: total weight of q to already-placed qubits.
-    let weight_to_placed = |q: usize, placed: &[usize], ig: &InteractionGraph| -> f64 {
-        placed.iter().map(|&j| ig.weight(q, j)).sum()
-    };
+    let total_weight: Vec<f64> = (0..n).map(|q| ig.total_weight(q)).collect();
+    let mut placed = Placed::new(n);
 
     // Extra −log-success cost a partial SWAP pays over a bare SWAP across
     // one edge: the price of encoding a qubit whose partners live elsewhere.
@@ -178,80 +228,72 @@ pub(crate) fn map_circuit_with_center(
         (mixed - bare).max(0.0)
     };
 
-    let center_dist: Vec<f64> = topo
-        .to_ugraph()
-        .bfs_distances(center)
-        .into_iter()
-        .map(|d| {
-            if d == usize::MAX {
-                f64::INFINITY
-            } else {
-                d as f64
-            }
-        })
-        .collect();
+    // Placed partners of the qubits being placed, in placement order per
+    // qubit: the only terms a candidate's cost can contain.
+    let mut partners: Vec<Partner> = Vec::new();
 
-    while placed.len() < n {
+    while placed.count < n {
         // Select the next qubit: max weight to placed; ties / cold start by
         // max total weight, then lowest index.
         let pick = (0..n)
-            .filter(|&q| unplaced[q])
-            .map(|q| {
-                let wp = weight_to_placed(q, &placed, &ig);
-                (q, wp, ig.total_weight(q))
-            })
-            .max_by(|(qa, wpa, wta), (qb, wpb, wtb)| {
-                wpa.partial_cmp(wpb)
+            .filter(|&q| !placed.contains(q))
+            .max_by(|&qa, &qb| {
+                placed.weight_to[qa]
+                    .partial_cmp(&placed.weight_to[qb])
                     .unwrap()
-                    .then(wta.partial_cmp(wtb).unwrap())
-                    .then(qb.cmp(qa))
+                    .then(total_weight[qa].partial_cmp(&total_weight[qb]).unwrap())
+                    .then(qb.cmp(&qa))
             })
-            .map(|(q, ..)| q)
             .expect("unplaced qubit exists");
 
-        // Weighted path cost of placing `qs` at `unit` (lower is better):
-        // co-location contributes zero, distant heavy partners dominate.
-        let cost_from_unit =
-            |unit: usize, qs: &[usize], layout: &Layout, metric: &UnitMetric| -> f64 {
-                let mut c = 0.0;
-                for &q in qs {
-                    for &j in &placed {
-                        let w = ig.weight(q, j);
-                        if w > 0.0 {
-                            let ju = layout.slot_of(j).expect("placed").node;
-                            c += w * metric.cost(unit, ju);
-                        }
-                    }
-                }
-                c
-            };
+        let qs = match partner[pick] {
+            Some(p) if takes_slot0[pick] => vec![pick, p],
+            Some(p) => vec![p, pick],
+            None => vec![pick],
+        };
+        partners.clear();
+        for &q in &qs {
+            let start = partners.len();
+            partners.extend(
+                ig.incident(q)
+                    .iter()
+                    .filter(|&&(j, _)| placed.contains(j))
+                    .map(|&(j, weight)| Partner {
+                        qubit: j,
+                        weight,
+                        unit: layout.slot_of(j).expect("placed").node,
+                    }),
+            );
+            partners[start..].sort_unstable_by_key(|p| placed.rank[p.qubit]);
+        }
 
-        if let Some(p) = partner[pick] {
+        // Weighted path cost of placing the qubits at `unit` (lower is
+        // better): co-location contributes zero, distant heavy partners
+        // dominate.
+        let cost_from_unit = |unit: usize, metric: &UnitMetric| -> f64 {
+            let mut c = 0.0;
+            for p in &partners {
+                c += p.weight * metric.cost(unit, p.unit);
+            }
+            c
+        };
+
+        if let [q0, q1] = qs[..] {
             // Place the pair together in an empty unit.
-            let (q0, q1) =
-                if partner[pick] == Some(p) && options.pairs.iter().any(|&(a, _)| a == pick) {
-                    (pick, p)
-                } else {
-                    (p, pick)
-                };
             let best_unit = (0..topo.n_nodes())
                 .filter(|&u| layout.occupancy(u) == (false, false))
-                .map(|u| (u, cost_from_unit(u, &[q0, q1], &layout, &metric)))
+                .map(|u| (u, cost_from_unit(u, &metric)))
                 .min_by(|(ua, ca), (ub, cb)| {
                     ca.partial_cmp(cb)
                         .unwrap()
-                        .then(center_dist[*ua].partial_cmp(&center_dist[*ub]).unwrap())
+                        .then(center_dist[*ua].cmp(&center_dist[*ub]))
                         .then(ua.cmp(ub))
                 })
                 .map(|(u, _)| u)
                 .expect("empty unit available for pair");
             layout.set_encoded(best_unit);
-            layout.place(q0, Slot::zero(best_unit));
-            layout.place(q1, Slot::one(best_unit));
-            unplaced[q0] = false;
-            unplaced[q1] = false;
-            placed.push(q0);
-            placed.push(q1);
+            placed.place(ig, &mut layout, q0, Slot::zero(best_unit));
+            placed.place(ig, &mut layout, q1, Slot::one(best_unit));
             metric.rebuild(&layout);
         } else {
             // Single placement: slot 0 of empty units, plus slot 1 when the
@@ -272,16 +314,16 @@ pub(crate) fn map_circuit_with_center(
             let best = candidates
                 .into_iter()
                 .map(|s| {
-                    let mut cost = cost_from_unit(s.node, &[pick], &layout, &metric);
+                    let mut cost = cost_from_unit(s.node, &metric);
                     if s.slot == qompress_arch::SlotIndex::One {
                         // Encoding makes this qubit's *external* interactions
                         // partial-gate priced; charge the premium so slot 1
                         // is taken only for genuine co-location benefits.
                         let sibling = layout.qubit_at(Slot::zero(s.node));
-                        let ext: f64 = placed
+                        let ext: f64 = partners
                             .iter()
-                            .filter(|&&j| Some(j) != sibling)
-                            .map(|&j| ig.weight(pick, j))
+                            .filter(|p| Some(p.qubit) != sibling)
+                            .map(|p| p.weight)
                             .sum();
                         cost += encode_premium * ext;
                     }
@@ -291,11 +333,7 @@ pub(crate) fn map_circuit_with_center(
                     xa.partial_cmp(xb)
                         .unwrap()
                         .then(sa.slot.cmp(&sb.slot)) // prefer bare on ties
-                        .then(
-                            center_dist[sa.node]
-                                .partial_cmp(&center_dist[sb.node])
-                                .unwrap(),
-                        )
+                        .then(center_dist[sa.node].cmp(&center_dist[sb.node]))
                         .then(sa.index().cmp(&sb.index()))
                 })
                 .map(|(s, _)| s)
@@ -305,9 +343,7 @@ pub(crate) fn map_circuit_with_center(
             if newly_encoded {
                 layout.set_encoded(best.node);
             }
-            layout.place(pick, best);
-            unplaced[pick] = false;
-            placed.push(pick);
+            placed.place(ig, &mut layout, pick, best);
             if newly_encoded {
                 metric.rebuild(&layout);
             }

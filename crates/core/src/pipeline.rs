@@ -11,14 +11,14 @@
 use crate::config::CompilerConfig;
 use crate::cost::{DistanceOracle, OracleStats};
 use crate::layout::Layout;
-use crate::mapping::{map_circuit_with_center, MappingOptions};
+use crate::mapping::{map_interactions, MappingOptions};
 use crate::metrics::Metrics;
 use crate::physical::Schedule;
 use crate::result_cache::ResultCache;
 use crate::routing::route_cached;
 use crate::scheduling::{merge_singles, schedule_ops, trace_coherence, CoherenceTrace};
 use qompress_arch::{ExpandedGraph, Topology};
-use qompress_circuit::{Circuit, CircuitDag};
+use qompress_circuit::{Circuit, CircuitDag, InteractionGraph};
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,9 +53,10 @@ pub struct TopologyCache {
     /// Oracles keyed by encoded-flag signature, for layouts with at least
     /// one encoded unit.
     encoded_oracles: ResultCache<Vec<bool>, Arc<DistanceOracle>>,
-    /// The topology's center unit, memoized (finding it is an all-sources
-    /// BFS — noticeable on 1000-unit devices, pure waste per job).
-    center: std::sync::OnceLock<usize>,
+    /// The topology's center unit and every unit's BFS hop distance from
+    /// it, memoized (finding the center is an all-sources BFS — noticeable
+    /// on 1000-unit devices, pure waste per job).
+    center: std::sync::OnceLock<(usize, Vec<usize>)>,
 }
 
 impl TopologyCache {
@@ -73,7 +74,23 @@ impl TopologyCache {
 
     /// The topology's center unit, computed once per cache.
     pub fn center(&self) -> usize {
-        *self.center.get_or_init(|| self.topology().center())
+        self.centered().0
+    }
+
+    /// Every unit's BFS hop distance from [`TopologyCache::center`]
+    /// (`usize::MAX` when unreachable), computed once per cache — the
+    /// mapper's and FQ's placement tie-break.
+    pub(crate) fn center_distances(&self) -> &[usize] {
+        &self.centered().1
+    }
+
+    fn centered(&self) -> &(usize, Vec<usize>) {
+        self.center.get_or_init(|| {
+            let graph = self.topology().to_ugraph();
+            let center = graph.center();
+            let distances = graph.bfs_distances(center);
+            (center, distances)
+        })
     }
 
     /// The structural fingerprint of the topology this cache was built for.
@@ -206,7 +223,8 @@ pub(crate) fn compile(
 ) -> CompilationResult {
     let topo = cache.topology();
     let dag = CircuitDag::build(circuit);
-    let mut layout = map_circuit_with_center(circuit, topo, config, options, cache.center());
+    let ig = InteractionGraph::build_with_dag(circuit, &dag);
+    let mut layout = map_interactions(&ig, topo, config, options, cache.center_distances());
     let initial_placements = layout.placements();
     let encoded_units = layout.encoded_flags().to_vec();
     let pairs = pairs_from_layout(&layout);

@@ -22,7 +22,7 @@ use qompress_pulse::GateClass;
 use std::collections::VecDeque;
 
 /// Compiles with the FQ baseline onto `cache`'s topology, placing around
-/// the cache's memoized center.
+/// the cache's memoized center distances.
 ///
 /// # Panics
 ///
@@ -37,7 +37,7 @@ pub(crate) fn compile_full_ququart(
     let n = circuit.n_qubits();
     let pairs = greedy_matching(circuit);
     let mut fq = FqState::new(circuit, topo, &pairs);
-    fq.map_entities(cache.center());
+    fq.map_entities(cache.center_distances());
     let initial_placements = fq.layout.placements();
 
     for gate in circuit.iter() {
@@ -160,13 +160,12 @@ impl<'a> FqState<'a> {
     }
 
     /// Places pairs (with reserved adjacent ancillas) and leftovers,
-    /// nearest to `center` first.
-    fn map_entities(&mut self, center: usize) {
+    /// nearest to the center first (`center_dist`: each unit's BFS hop
+    /// distance from it).
+    fn map_entities(&mut self, center_dist: &[usize]) {
         let ig = InteractionGraph::build(self.circuit);
         let n_units = self.topo.n_nodes();
         let mut free = vec![true; n_units];
-        let ug = self.topo.to_ugraph();
-        let center_dist = ug.bfs_distances(center);
 
         // Order pairs by combined weight, heaviest first.
         let mut order: Vec<usize> = (0..self.pairs.len()).collect();
